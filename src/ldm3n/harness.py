@@ -12,8 +12,14 @@ triple hung off that singleton property. Walking member i to member j
 labeled-arc model every such pair is unreachable, because the only route
 runs through predicate nodes.
 
-Batches fan out over a thread pool against the shared read-only store; all
-non-timing outputs are invariant to the worker count.
+Batches run one shortest-path search per distinct source, which stops once
+every target asked of that source has been popped; each pair's record is
+fixed when its target pops, so it equals the answer of a search for that
+pair alone. With more than one worker the sources fan out over a thread
+pool against the shared read-only store; all non-timing outputs are
+invariant to the worker count. Reach batches keep status, distance and
+``nodes_explored`` but rebuild no paths. A group's ordered pairs are a lazy
+view over its members, so memory stays linear in the group size.
 """
 
 from __future__ import annotations
@@ -23,12 +29,13 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from itertools import repeat
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
-from .errors import Ldm3nError, UnknownProperty
+from .errors import UnknownNode, UnknownProperty
 from .semantics import RDF_SINGLETON_PROPERTY_OF, Vocabulary, resolve_vocabulary
 from .terms import IRI, Triple, format_term
-from .traversal import Model, PathStatus, shortest_path
+from .traversal import Model, PathStatus, _dijkstra, check_endpoints
 
 CHAIN_NS = "http://example.org/chain/"
 NOISE_NS = "http://example.org/noise/"
@@ -37,19 +44,43 @@ GENERIC_POSITION_PROPERTY = IRI(CHAIN_NS + "holdsPoliticalPosition")
 SUCCESSOR_PROPERTY = IRI(CHAIN_NS + "hasSuccessor")
 
 
+@dataclass(frozen=True)
+class OrderedPairs:
+    """Every ordered pair of distinct members, generated on each iteration.
+
+    Yields ``(a, b)`` for each member ``a`` and each other member ``b``, ``a``
+    outer and ``b`` inner, both in member order; ``len()`` is k(k-1). Members
+    must be distinct.
+    """
+
+    members: list[int]
+
+    def __len__(self) -> int:
+        k = len(self.members)
+        return k * (k - 1)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        m = self.members
+        for i, a in enumerate(m):
+            yield from zip(repeat(a), m[:i])
+            yield from zip(repeat(a), m[i + 1 :])
+
+
 @dataclass
 class PairGroup:
     """Subjects sharing one group object, with all ordered member pairs."""
 
     group_key: int
     members: list[int]
-    pairs: list[tuple[int, int]]
+
+    @property
+    def pairs(self) -> OrderedPairs:
+        return OrderedPairs(self.members)
 
     @classmethod
     def build(cls, group_key: int, members: Iterable[int]) -> "PairGroup":
-        ordered = sorted(members)
-        pairs = [(a, b) for a in ordered for b in ordered if a != b]
-        return cls(group_key, ordered, pairs)
+        """A group of the distinct ``members``, kept in id order."""
+        return cls(group_key, sorted(set(members)))
 
 
 def generate_pairs(store, generic_property: int, vocab: Vocabulary | None = None) -> list[PairGroup]:
@@ -173,13 +204,28 @@ class BatchReport:
         }
 
     def write_csv(self, out: IO, dictionary=None) -> None:
-        """Records as CSV rows, then per-distance and summary trailer lines."""
+        """Records as CSV rows, then per-distance and summary trailer lines.
+
+        Each distinct term id is rendered once per call.
+        """
+        names: dict[int, str] = {}
+
+        def name(term_id: int) -> str:
+            text = names.get(term_id)
+            if text is None:
+                if dictionary is None or not dictionary.is_issued(term_id):
+                    text = str(term_id)
+                else:
+                    text = format_term(dictionary.decode(term_id))
+                names[term_id] = text
+            return text
+
         writer = csv.writer(out)
         writer.writerow(
             ["source", "target", "model", "status", "distance", "nodes_explored", "elapsed_ms", "path"]
         )
         for r in self.records:
-            writer.writerow(_record_row(r, dictionary))
+            writer.writerow(_record_row(r, name))
         for d, (count, mean_ms) in self.per_distance.items():
             out.write(f"# distance {d}: count={count} mean_ms={mean_ms:.3f}\n")
         out.write(
@@ -189,12 +235,7 @@ class BatchReport:
         )
 
 
-def _record_row(r: QueryRecord, dictionary=None) -> list[str]:
-    def name(term_id: int) -> str:
-        if dictionary is None or not dictionary.is_issued(term_id):
-            return str(term_id)
-        return format_term(dictionary.decode(term_id))
-
+def _record_row(r: QueryRecord, name: Callable[[int], str]) -> list[str]:
     path = "/".join(name(n) for n in r.path) if r.path else ""
     return [
         name(r.source),
@@ -210,46 +251,68 @@ def _record_row(r: QueryRecord, dictionary=None) -> list[str]:
 
 def run_batch(
     store,
-    pairs: Sequence[tuple[int, int]],
+    pairs: Iterable[tuple[int, int]],
     model: Model,
     mode: str = "spath",
     workers: int = 1,
     max_dist: int | None = None,
 ) -> BatchReport:
-    """Run every pair through the chosen model on a fixed-size worker pool.
+    """Answer every pair with one search per distinct source.
 
+    Each input pair gets one record, duplicates and self-pairs included.
+    A record's ``elapsed_ms`` runs from the start of its source's search to
+    the pop of its target (to the end of the search when unreachable).
     Per-query failures (unknown endpoints) land in the report as error
-    records instead of aborting the batch. Records come back sorted by
+    records instead of aborting the batch. Reach mode leaves ``path`` unset.
+    Sources fan out over ``workers`` threads; records come back sorted by
     (source, target), so reports are comparable across worker counts.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if mode not in ("reach", "spath"):
         raise ValueError(f"bad batch mode: {mode}")
+    paths = mode == "spath"
 
-    def one(pair: tuple[int, int]) -> QueryRecord:
-        source, target = pair
-        try:
-            result = shortest_path(store, source, target, model, max_dist)
-        except Ldm3nError as exc:
-            return QueryRecord(source, target, model, "error", None, 0, 0.0, None, str(exc))
-        return QueryRecord(
-            source,
-            target,
-            model,
-            result.status.value,
-            result.distance,
-            result.nodes_explored,
-            result.elapsed_s * 1000.0,
-            result.resource_path,
-        )
+    def one_source(item: tuple[int, list[int]]) -> list[QueryRecord]:
+        source, targets = item
+        errors: dict[int, str] = {}
+        for target in targets:
+            try:
+                check_endpoints(store, source, target)
+            except UnknownNode as exc:
+                errors[target] = str(exc)
+        live = [t for t in targets if t not in errors]
+        found = _dijkstra(store, source, live, model, max_dist, paths) if live else {}
+        records = []
+        for target in targets:
+            if target in errors:
+                records.append(
+                    QueryRecord(source, target, model, "error", None, 0, 0.0, None, errors[target])
+                )
+                continue
+            result = found[target]
+            records.append(QueryRecord(
+                source,
+                target,
+                model,
+                result.status.value,
+                result.distance,
+                result.nodes_explored,
+                result.elapsed_s * 1000.0,
+                result.resource_path,
+            ))
+        return records
 
     started = time.perf_counter()
+    by_source: dict[int, list[int]] = {}
+    for source, target in pairs:
+        by_source.setdefault(source, []).append(target)
     if workers == 1:
-        records = [one(p) for p in pairs]
+        batches = map(one_source, by_source.items())
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, pairs))
+            batches = list(pool.map(one_source, by_source.items()))
+    records = [r for batch in batches for r in batch]
     total_ms = (time.perf_counter() - started) * 1000.0
 
     records.sort(key=lambda r: (r.source, r.target))

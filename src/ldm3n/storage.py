@@ -336,12 +336,16 @@ def _write_store(
         f.write(header)
         f.write(json.dumps(meta, indent=2).encode("utf-8"))
 
+    delta_path = path / "delta"
     if delta:
         flat = [x for t in delta for x in t]
-        with open(path / "delta", "wb") as f:
+        with open(delta_path, "wb") as f:
             f.write(header)
             f.write(struct.pack("<Q", len(delta)))
             f.write(struct.pack(f"<{len(flat)}Q", *flat))
+    else:
+        # An old delta would otherwise outlive the derivations it held.
+        delta_path.unlink(missing_ok=True)
 
 
 def _read_file(path: Path) -> tuple[IndexKind, bytes]:
@@ -351,6 +355,22 @@ def _read_file(path: Path) -> tuple[IndexKind, bytes]:
         raise StoreCorrupt(f"{path}: missing store file") from None
     kind = _check_header(data, path)
     return kind, data[_HEADER.size :]
+
+
+def _read_records(path: Path, width: int) -> tuple[int, ...]:
+    """Body of ``adj``, ``adj_count`` or ``delta``: a u64 record count, then
+    that many records of ``width`` u64 words; StoreCorrupt on a size mismatch."""
+    _, body = _read_file(path)
+    if len(body) < 8:
+        raise StoreCorrupt(f"{path}: short read of the record count at byte offset {_HEADER.size}")
+    (n,) = struct.unpack_from("<Q", body)
+    expected = 8 + 8 * width * n
+    if len(body) != expected:
+        raise StoreCorrupt(
+            f"{path}: {n} records need {expected - 8} bytes at byte offset {_HEADER.size + 8},"
+            f" found {len(body) - 8}"
+        )
+    return struct.unpack_from(f"<{width * n}Q", body, 8)
 
 
 def open_store(path: Path | str, cache_size_bytes: int | None = None) -> Store:
@@ -367,32 +387,35 @@ def open_store(path: Path | str, cache_size_bytes: int | None = None) -> Store:
     dictionary = Dictionary()
     _, rev = _read_file(path / "dict_rev")
     offset = 0
-    while offset < len(rev):
-        term_id, length = struct.unpack_from("<QI", rev, offset)
-        offset += 12
-        token = rev[offset : offset + length].decode("utf-8")
-        offset += length
-        dictionary._restore(term_id, parse_term(token))
+    try:
+        while offset < len(rev):
+            term_id, length = struct.unpack_from("<QI", rev, offset)
+            end = offset + 12 + length
+            token = rev[offset + 12 : end].decode("utf-8")
+            dictionary._restore(term_id, parse_term(token))
+            offset = end
+    except (struct.error, ValueError) as exc:
+        raise StoreCorrupt(
+            f"{path / 'dict_rev'}: bad record at byte offset {_HEADER.size + offset}: {exc}"
+        ) from None
+    if offset != len(rev):
+        raise StoreCorrupt(
+            f"{path / 'dict_rev'}: last record runs past the end of the file"
+            f" at byte offset {_HEADER.size + len(rev)}"
+        )
     fwd_kind, fwd = _read_file(path / "dict_fwd")
     if fwd_kind is not kind:
         raise StoreCorrupt(f"{path / 'dict_fwd'}: index kind disagrees with meta")
 
-    _, adj = _read_file(path / "adj")
-    (n_triples,) = struct.unpack_from("<Q", adj)
-    flat = struct.unpack_from(f"<{3 * n_triples}Q", adj, 8)
+    flat = _read_records(path / "adj", 3)
+    n_triples = len(flat) // 3
     entries: dict[int, list[tuple[int, int]]] = {}
     for i in range(0, len(flat), 3):
         entries.setdefault(flat[i], []).append((flat[i + 1], flat[i + 2]))
     index = _build_index(kind, entries)
 
-    _, cnt = _read_file(path / "adj_count")
-    (n_keys,) = struct.unpack_from("<Q", cnt)
-    counts: dict[int, int] = {}
-    offset = 8
-    for _ in range(n_keys):
-        k, c = struct.unpack_from("<QQ", cnt, offset)
-        counts[k] = c
-        offset += 16
+    cflat = _read_records(path / "adj_count", 2)
+    counts = dict(zip(cflat[0::2], cflat[1::2]))
     for k, c in counts.items():
         if index.pair_count(k) != c:
             raise StoreCorrupt(f"{path / 'adj_count'}: count for key {k} disagrees with adj")
@@ -402,9 +425,7 @@ def open_store(path: Path | str, cache_size_bytes: int | None = None) -> Store:
     delta: list[tuple[int, int, int]] = []
     delta_path = path / "delta"
     if delta_path.exists():
-        _, body = _read_file(delta_path)
-        (n_delta,) = struct.unpack_from("<Q", body)
-        dflat = struct.unpack_from(f"<{3 * n_delta}Q", body, 8)
+        dflat = _read_records(delta_path, 3)
         delta = [(dflat[i], dflat[i + 1], dflat[i + 2]) for i in range(0, len(dflat), 3)]
 
     config = StoreConfig(

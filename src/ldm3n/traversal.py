@@ -26,6 +26,7 @@ import enum
 import heapq
 import time
 from dataclasses import dataclass
+from typing import Collection
 
 from .dictionary import is_literal_id
 from .errors import UnknownNode, UnknownTriple
@@ -71,17 +72,32 @@ class PathQueryResult:
         return self.status is PathStatus.FOUND
 
 
-def _check_endpoints(store, source: int, target: int) -> None:
+def check_endpoints(store, source: int, target: int) -> None:
+    """UnknownNode naming the first endpoint, source before target, never issued."""
     if not store.is_issued(source):
         raise UnknownNode(f"source id {source} was never issued")
     if not store.is_issued(target):
         raise UnknownNode(f"target id {target} was never issued")
 
 
-def _dijkstra(store, source: int, target: int, model: Model, max_dist: int | None) -> PathQueryResult:
-    started = time.perf_counter()
-    _check_endpoints(store, source, target)
+def _dijkstra(
+    store, source: int, targets: Collection[int], model: Model, max_dist: int | None, paths: bool = True
+) -> dict[int, PathQueryResult]:
+    """One search from ``source`` that answers every id in ``targets``.
 
+    The search stops once every target has been popped, at the first pop
+    beyond ``max_dist``, or when the queue runs out. A target's result is
+    fixed the moment it is popped: its distance, the pops so far as
+    ``nodes_explored``, the time since the search started and, when
+    ``paths`` is set, its rebuilt path. The pops before a target are the pops
+    a search for that target alone makes, and a settled entry never changes,
+    so each result equals the single-target answer. Targets never popped are
+    unreachable, with every pop of the search counted. Endpoints must be
+    issued; callers check them.
+    """
+    started = time.perf_counter()
+    pending = set(targets)
+    results: dict[int, PathQueryResult] = {}
     visited: dict[int, VisitedEntry] = {
         source: VisitedEntry(source, 0, 0, Role.SOURCE, None)
     }
@@ -108,11 +124,14 @@ def _dijkstra(store, source: int, target: int, model: Model, max_dist: int | Non
         if max_dist is not None and dis > max_dist:
             break
         explored += 1
-        if curid == target:
-            nodes, triples = _reconstruct(visited, source, target, model)
-            return PathQueryResult(
+        if curid in pending:
+            pending.discard(curid)
+            nodes, triples = _reconstruct(visited, source, curid, model) if paths else (None, None)
+            results[curid] = PathQueryResult(
                 PathStatus.FOUND, dis, nodes, triples, explored, time.perf_counter() - started
             )
+            if not pending:
+                return results
         if is_literal_id(curid):
             continue  # literals are sinks; skip the index probe
         for pred, obj in store.neighbors(curid):
@@ -126,9 +145,10 @@ def _dijkstra(store, source: int, target: int, model: Model, max_dist: int | Non
                 if update(obj, dis + 1, curid, Role.OBJ, triple):
                     heapq.heappush(heap, (dis + 1, obj))
 
-    return PathQueryResult(
-        PathStatus.UNREACHABLE, None, None, None, explored, time.perf_counter() - started
-    )
+    elapsed = time.perf_counter() - started
+    for target in pending:
+        results[target] = PathQueryResult(PathStatus.UNREACHABLE, None, None, None, explored, elapsed)
+    return results
 
 
 def _reconstruct(
@@ -162,18 +182,19 @@ def dijkstra_ldm3n(store, source: int, target: int, max_dist: int | None = None)
     sinks. Popping the target (including source == target at distance 0)
     ends the search; an exhausted queue means unreachable.
     """
-    return _dijkstra(store, source, target, Model.LDM3N, max_dist)
+    return shortest_path(store, source, target, Model.LDM3N, max_dist)
 
 
 def dijkstra_nlan(store, source: int, target: int, max_dist: int | None = None) -> PathQueryResult:
     """Shortest walk counting one hop per triple, predicates never visited."""
-    return _dijkstra(store, source, target, Model.NLAN, max_dist)
+    return shortest_path(store, source, target, Model.NLAN, max_dist)
 
 
 def shortest_path(
     store, source: int, target: int, model: Model, max_dist: int | None = None
 ) -> PathQueryResult:
-    return _dijkstra(store, source, target, model, max_dist)
+    check_endpoints(store, source, target)
+    return _dijkstra(store, source, (target,), model, max_dist)[target]
 
 
 def reachable(
@@ -184,7 +205,7 @@ def reachable(
     Same traversal as the path query, distance bookkeeping retained, so the
     stats (and the witness path) come along for free.
     """
-    result = _dijkstra(store, source, target, model, max_dist)
+    result = shortest_path(store, source, target, model, max_dist)
     return result.found, result
 
 

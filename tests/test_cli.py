@@ -56,7 +56,7 @@ def test_spath_golden(loaded_store, capsys):
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert ",found,3," in out
+    assert ",found,3,9," in out
     assert (
         f"<{EX}BillClinton>/<{EX}holdsPos#1>/<{EX}hasSuccessor>/<{EX}GeorgeWBush>" in out
     )
@@ -69,7 +69,7 @@ def test_spath_unreachable_is_a_valid_answer(loaded_store, capsys):
     ])
     out = capsys.readouterr().out
     assert code == 0
-    assert "unreachable" in out
+    assert ",unreachable,,3," in out
 
 
 def test_spath_unknown_term_exits_one(loaded_store, capsys):
@@ -185,6 +185,64 @@ def test_entail_materialize_then_query_with_derived(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "triples,3" in out
+
+
+RDFS = "http://www.w3.org/2000/01/rdf-schema#"
+
+
+@pytest.fixture
+def derived_store(tmp_path, capsys):
+    """A 4-triple store whose materialized delta holds 4 derived triples."""
+    nt = tmp_path / "schema.nt"
+    nt.write_text(
+        f"<{EX}a> <{RDFS}subPropertyOf> <{EX}b> .\n"
+        f"<{EX}b> <{RDFS}subPropertyOf> <{EX}c> .\n"
+        f"<{EX}x> <{EX}a> <{EX}y> .\n"
+        f"<{EX}b> <{RDFS}domain> <{EX}D> .\n",
+        encoding="utf-8",
+    )
+    store = tmp_path / "s"
+    assert main(["load", "--store", str(store), "--input", str(nt)]) == 0
+    assert main(["entail", "--store", str(store), "--materialize"]) == 0
+    assert "# summary: derived=4" in capsys.readouterr().out
+    return store, nt
+
+
+def stats_triples(store, capsys) -> str:
+    assert main(["stats", "--store", str(store), "--with-derived"]) == 0
+    return next(line for line in capsys.readouterr().out.splitlines() if line.startswith("triples,"))
+
+
+def test_empty_materialize_and_reload_drop_the_old_delta(derived_store, capsys):
+    store, nt = derived_store
+    assert stats_triples(store, capsys) == "triples,8"
+    assert main(["entail", "--store", str(store), "--rules", "range", "--materialize"]) == 0
+    assert "# summary: derived=0" in capsys.readouterr().out
+    assert not (store / "delta").exists()
+    assert stats_triples(store, capsys) == "triples,4"
+
+    assert main(["entail", "--store", str(store), "--materialize"]) == 0
+    assert main(["load", "--store", str(store), "--input", str(nt)]) == 0
+    capsys.readouterr()
+    assert not (store / "delta").exists()
+    assert stats_triples(store, capsys) == "triples,4"
+
+
+@pytest.mark.parametrize("name", ["adj", "adj_count", "delta", "dict_rev"])
+def test_short_store_file_exits_three(derived_store, capsys, name):
+    store, _ = derived_store
+    path = store / name
+    # 30 bytes cut the records after the 9-byte header and the 8-byte count;
+    # dict_rev loses the last 3 bytes of its last term.
+    size = path.stat().st_size - 3 if name == "dict_rev" else 30
+    with open(path, "r+b") as f:
+        f.truncate(size)
+    code = main(["stats", "--store", str(store), "--with-derived"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:")
+    assert str(path) in err and "byte offset" in err
+    assert "Traceback" not in err
 
 
 def test_bench_end_to_end(tmp_path, capsys):
