@@ -13,7 +13,7 @@ from .dictionary import Dictionary, is_literal_id
 from .errors import Ldm3nError
 from .graph_model import Ldm3nGraph, backward_transform, forward_transform, graph_size
 from .ntriples import parse_ntriples, serialize_ntriples
-from .storage import IndexKind, Store, StoreConfig, create_store, load_triples, open_store
+from .storage import Store, StoreConfig, create_store, load_triples, open_store
 from .terms import IRI, BlankNode, Literal, Term, Triple, format_term, parse_term
 from .traversal import (
     Model,
@@ -33,7 +33,6 @@ __all__ = [
     "BlankNode",
     "Dictionary",
     "IRI",
-    "IndexKind",
     "Ldm3nError",
     "Ldm3nGraph",
     "Literal",

@@ -29,8 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_load = sub.add_parser("load", help="parse an N-Triples file into a new store")
     p_load.add_argument("--store", required=True, type=Path)
     p_load.add_argument("--input", required=True, help="N-Triples file, or - for stdin")
-    p_load.add_argument("--index-kind", choices=["hash", "ordered"], default="hash")
-    p_load.add_argument("--cache-size", type=int, default=64 * 1024 * 1024)
     p_load.add_argument("--lenient", action="store_true", help="skip malformed lines and count them")
 
     for name, help_text in (
@@ -102,7 +100,7 @@ def _cmd_load(args) -> int:
         source = open(args.input, "r", encoding="utf-8")
     try:
         triples = parse_ntriples(source, strict=not args.lenient, errors=errors)
-        config = storage.StoreConfig(args.store, args.index_kind, args.cache_size)
+        config = storage.StoreConfig(args.store)
         _, _, report = storage.load_triples(config, triples)
     finally:
         if source is not sys.stdin:

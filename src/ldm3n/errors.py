@@ -42,7 +42,7 @@ class MalformedGraph(Ldm3nError):
 
 
 class StoreCorrupt(Ldm3nError):
-    """An on-disk store whose files are missing, truncated, or mis-labeled."""
+    """An on-disk store whose files are missing, truncated, mis-labeled or damaged."""
 
 
 class ResourceLimit(Ldm3nError):

@@ -325,13 +325,14 @@ def read_pairs_csv(lines: Iterable[str], store) -> list[tuple[int, int]]:
     """Pair file rows ``source_iri,target_iri`` resolved to ids.
 
     Accepts bare IRIs or N-Triples tokens; a header row is skipped when
-    present. Terms missing from the store map to the 0 sentinel, which the
-    batch then reports as a per-query error instead of aborting.
+    present. A term missing from the store raises UnknownNode naming the
+    row's line number and the term.
     """
     from .terms import parse_term
 
     pairs: list[tuple[int, int]] = []
-    for row in csv.reader(lines):
+    reader = csv.reader(lines)
+    for row in reader:
         if not row or row[0].strip().startswith("#"):
             continue
         if [c.strip().lower() for c in row[:2]] == ["source_iri", "target_iri"]:
@@ -342,6 +343,9 @@ def read_pairs_csv(lines: Iterable[str], store) -> list[tuple[int, int]]:
         for cell in row[:2]:
             cell = cell.strip()
             term = parse_term(cell) if cell[:1] in ("<", '"', "_") else IRI(cell)
-            ids.append(store.dictionary.lookup(term) or 0)
+            try:
+                ids.append(store.resolve(term))
+            except UnknownNode as exc:
+                raise UnknownNode(f"pairs line {reader.line_num}: {exc}") from None
         pairs.append((ids[0], ids[1]))
     return pairs

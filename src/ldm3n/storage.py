@@ -1,17 +1,17 @@
-"""Persistent index layer: dictionaries, adjacency, and pair counts.
+"""Persistent store: one dictionary and one subject-keyed adjacency.
 
-A store is a directory of five files, each starting with a 9-byte header
-(magic ``LDM3N\\0``, u16 format version, u8 index kind):
+A store is a directory of three files, plus an optional fourth, each
+starting with a 12-byte header (magic ``LDM3N\\0``, u16 format version,
+u32 CRC-32 of the body that follows):
 
-    dict_fwd   term token -> id records, in issue order
     dict_rev   id -> term token records, in issue order
     adj        distinct encoded triples (s, p, o), sorted
-    adj_count  subject id -> number of (pred, obj) pairs, sorted
-    meta       JSON: config echo plus the load report
+    meta       JSON: the load report
+    delta      derived triples written by ``save_delta`` (optional)
 
 Triples are held under their subject id; the initial/terminal edge pair of
-each triple is implicit in the stored record, so the same index serves both
-traversal models. Loading dedups exact duplicates (set semantics), and
+each triple is implicit in the stored record, so the same adjacency serves
+both traversal models. Loading dedups exact duplicates (set semantics), and
 neighbor lists are kept sorted by (pred, obj) so every downstream answer is
 deterministic. After load the store is read-only and safe to share across
 concurrent query workers.
@@ -19,9 +19,9 @@ concurrent query workers.
 
 from __future__ import annotations
 
-import enum
 import json
 import struct
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,29 +32,22 @@ from .errors import StoreCorrupt, UnknownNode
 from .terms import Term, Triple, format_term, parse_term
 
 MAGIC = b"LDM3N\0"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<6sHB")
+FORMAT_VERSION = 2
+_HEADER = struct.Struct("<6sHI")
+_REV_RECORD = struct.Struct("<QI")
+_U64 = struct.Struct("<Q")
+# Records gathered into one write (and one CRC update) while streaming a body.
+_CHUNK = 8192
 
-FILES = ("dict_fwd", "dict_rev", "adj", "adj_count", "meta")
-
-
-class IndexKind(enum.Enum):
-    HASH = "hash"
-    ORDERED = "ordered"
+Adjacency = dict[int, list[tuple[int, int]]]
 
 
 @dataclass
 class StoreConfig:
     path: Path
-    index_kind: IndexKind = IndexKind.HASH
-    cache_size_bytes: int = 64 * 1024 * 1024
 
     def __post_init__(self) -> None:
         self.path = Path(self.path)
-        if isinstance(self.index_kind, str):
-            self.index_kind = IndexKind(self.index_kind)
-        if self.cache_size_bytes <= 0:
-            raise ValueError("cache_size_bytes must be positive")
 
 
 @dataclass
@@ -65,148 +58,41 @@ class LoadReport:
     literals: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class EncodedTriple:
-    s: int
-    p: int
-    o: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.s, self.p, self.o)
-
-
-class AdjacencyIndex:
-    """Query surface shared by the hash and ordered index structures."""
-
-    kind: IndexKind
-
-    def neighbors(self, node: int) -> list[tuple[int, int]]:
-        """All (pred, obj) pairs under ``node``, sorted; [] for sinks/unknowns."""
-        return list(self.cursor(node))
-
-    def cursor(self, node: int) -> Iterator[tuple[int, int]]:
-        raise NotImplementedError
-
-    def pair_count(self, node: int) -> int:
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[int]:
-        raise NotImplementedError
-
-    def iter_triples(self) -> Iterator[tuple[int, int, int]]:
-        for s in self.keys():
-            for p, o in self.cursor(s):
-                yield (s, p, o)
-
-    def contains(self, s: int, p: int, o: int) -> bool:
-        pairs = self._pairs(s)
-        if pairs is None:
-            return False
-        i = bisect_left(pairs, (p, o))
-        return i < len(pairs) and pairs[i] == (p, o)
-
-    def triple_count(self) -> int:
-        return sum(self.pair_count(k) for k in self.keys())
-
-    def _pairs(self, node: int) -> list[tuple[int, int]] | None:
-        raise NotImplementedError
-
-
-class HashIndex(AdjacencyIndex):
-    """Hash-table adjacency: dict keyed by subject id."""
-
-    kind = IndexKind.HASH
-
-    def __init__(self, entries: dict[int, list[tuple[int, int]]]):
-        self._entries = entries
-
-    def cursor(self, node: int) -> Iterator[tuple[int, int]]:
-        return iter(self._entries.get(node, ()))
-
-    def pair_count(self, node: int) -> int:
-        return len(self._entries.get(node, ()))
-
-    def keys(self) -> Iterator[int]:
-        return iter(sorted(self._entries.keys()))
-
-    def _pairs(self, node: int) -> list[tuple[int, int]] | None:
-        return self._entries.get(node)
-
-
-class OrderedIndex(AdjacencyIndex):
-    """Ordered adjacency: sorted key array probed by binary search."""
-
-    kind = IndexKind.ORDERED
-
-    def __init__(self, entries: dict[int, list[tuple[int, int]]]):
-        self._keys = sorted(entries.keys())
-        self._values = [entries[k] for k in self._keys]
-
-    def _slot(self, node: int) -> int | None:
-        i = bisect_left(self._keys, node)
-        if i < len(self._keys) and self._keys[i] == node:
-            return i
-        return None
-
-    def cursor(self, node: int) -> Iterator[tuple[int, int]]:
-        i = self._slot(node)
-        return iter(()) if i is None else iter(self._values[i])
-
-    def pair_count(self, node: int) -> int:
-        i = self._slot(node)
-        return 0 if i is None else len(self._values[i])
-
-    def keys(self) -> Iterator[int]:
-        return iter(self._keys)
-
-    def _pairs(self, node: int) -> list[tuple[int, int]] | None:
-        i = self._slot(node)
-        return None if i is None else self._values[i]
-
-
-def _build_index(kind: IndexKind, entries: dict[int, list[tuple[int, int]]]) -> AdjacencyIndex:
-    for pairs in entries.values():
-        pairs.sort()
-    if kind is IndexKind.HASH:
-        return HashIndex(entries)
-    return OrderedIndex(entries)
-
-
-# Free-function forms of the index query surface.
-
-
-def neighbors(index: AdjacencyIndex, node: int) -> list[tuple[int, int]]:
-    return index.neighbors(node)
-
-
-def pair_count(index: AdjacencyIndex, node: int) -> int:
-    return index.pair_count(node)
-
-
 @dataclass
 class Store:
-    """An opened store: dictionary + adjacency index + counts + metadata."""
+    """An opened store: dictionary, adjacency, load report and derived delta.
+
+    ``adjacency`` maps each subject id, in ascending order, to its sorted
+    (pred, obj) pairs.
+    """
 
     config: StoreConfig
     dictionary: Dictionary
-    index: AdjacencyIndex
-    counts: dict[int, int]
+    adjacency: Adjacency
     report: LoadReport
     delta: list[tuple[int, int, int]] = field(default_factory=list)
 
     # -- query surface shared with semantics.StoreView ------------------
 
     def neighbors(self, node: int) -> list[tuple[int, int]]:
-        return self.index.neighbors(node)
+        """All (pred, obj) pairs under ``node``, sorted, as a new list; [] for
+        sinks and unknown ids."""
+        return list(self.adjacency.get(node, ()))
 
     def pair_count(self, node: int) -> int:
-        return self.index.pair_count(node)
+        return len(self.adjacency.get(node, ()))
 
     def iter_triples(self) -> Iterator[tuple[int, int, int]]:
-        return self.index.iter_triples()
+        for s, pairs in self.adjacency.items():
+            for p, o in pairs:
+                yield (s, p, o)
 
     def contains(self, s: int, p: int, o: int) -> bool:
-        return self.index.contains(s, p, o)
+        pairs = self.adjacency.get(s)
+        if pairs is None:
+            return False
+        i = bisect_left(pairs, (p, o))
+        return i < len(pairs) and pairs[i] == (p, o)
 
     def is_issued(self, term_id: int) -> bool:
         return self.dictionary.is_issued(term_id)
@@ -225,17 +111,24 @@ class Store:
         return term_id
 
 
+def _sorted_adjacency(entries: Adjacency) -> Adjacency:
+    """``entries`` with subjects in ascending order and each pair list sorted."""
+    for pairs in entries.values():
+        pairs.sort()
+    return {s: entries[s] for s in sorted(entries)}
+
+
 def load_triples(
     config: StoreConfig, triples: Iterable[Triple]
-) -> tuple[Dictionary, AdjacencyIndex, LoadReport]:
+) -> tuple[Dictionary, Adjacency, LoadReport]:
     """Encode, dedup, index, and persist a triple sequence.
 
-    Every distinct input triple lands in the index exactly once; exact
+    Every distinct input triple lands in the adjacency exactly once; exact
     duplicates are counted in the report. Returns the in-memory views of
     what was written under ``config.path``.
     """
     dictionary = Dictionary()
-    entries: dict[int, list[tuple[int, int]]] = {}
+    entries: Adjacency = {}
     seen: set[tuple[int, int, int]] = set()
     report = LoadReport()
 
@@ -254,197 +147,181 @@ def load_triples(
     report.distinct_terms = len(dictionary)
     report.literals = dictionary.literal_count()
 
-    index = _build_index(config.index_kind, entries)
-    counts = {k: index.pair_count(k) for k in index.keys()}
-    _write_store(config, dictionary, index, counts, report)
-    return dictionary, index, report
+    adjacency = _sorted_adjacency(entries)
+    store = Store(config, dictionary, adjacency, report)
+    config.path.mkdir(parents=True, exist_ok=True)
+    _write_file(config.path / "dict_rev", _dict_rev_body(dictionary))
+    _write_file(config.path / "adj", _triples_body(store.iter_triples(), report.triples))
+    _write_meta(store)
+    # An old delta would otherwise outlive the store it was derived from.
+    (config.path / "delta").unlink(missing_ok=True)
+    return dictionary, adjacency, report
 
 
 def create_store(config: StoreConfig, triples: Iterable[Triple]) -> Store:
-    dictionary, index, report = load_triples(config, triples)
-    counts = {k: index.pair_count(k) for k in index.keys()}
-    return Store(config, dictionary, index, counts, report)
+    dictionary, adjacency, report = load_triples(config, triples)
+    return Store(config, dictionary, adjacency, report)
+
+
+def save_delta(store: Store, delta: list[tuple[int, int, int]]) -> None:
+    """Persist derived triples, and the dictionary they may have grown.
+
+    ``adj`` is never rewritten; an empty delta removes the ``delta`` file.
+    """
+    store.delta = list(delta)
+    path = store.config.path
+    _write_file(path / "dict_rev", _dict_rev_body(store.dictionary))
+    if store.delta:
+        _write_file(path / "delta", _triples_body(store.delta, len(store.delta)))
+    else:
+        # An old delta would otherwise outlive the derivations it held.
+        (path / "delta").unlink(missing_ok=True)
+    _write_meta(store)
 
 
 # -- on-disk format ------------------------------------------------------
 
 
-def _header_bytes(kind: IndexKind) -> bytes:
-    return _HEADER.pack(MAGIC, FORMAT_VERSION, 0 if kind is IndexKind.HASH else 1)
+def _write_file(path: Path, body: Iterable[bytes]) -> None:
+    """Stream ``body`` after a placeholder header, then write the real header
+    with the body's CRC-32."""
+    crc = 0
+    with open(path, "wb") as f:
+        f.write(bytes(_HEADER.size))
+        for chunk in body:
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.seek(0)
+        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, crc))
 
 
-def _check_header(data: bytes, path: Path) -> IndexKind:
-    if len(data) < _HEADER.size:
-        raise StoreCorrupt(f"{path}: truncated header")
-    magic, version, kind = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise StoreCorrupt(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise StoreCorrupt(f"{path}: unsupported format version {version}")
-    if kind not in (0, 1):
-        raise StoreCorrupt(f"{path}: unknown index kind byte {kind}")
-    return IndexKind.HASH if kind == 0 else IndexKind.ORDERED
+def _dict_rev_body(dictionary: Dictionary) -> Iterator[bytes]:
+    parts: list[bytes] = []
+    for term_id, term in dictionary.items():
+        token = format_term(term).encode("utf-8")
+        parts.append(_REV_RECORD.pack(term_id, len(token)))
+        parts.append(token)
+        if len(parts) >= 2 * _CHUNK:
+            yield b"".join(parts)
+            parts.clear()
+    yield b"".join(parts)
 
 
-def _write_store(
-    config: StoreConfig,
-    dictionary: Dictionary,
-    index: AdjacencyIndex,
-    counts: dict[int, int],
-    report: LoadReport,
-    delta: list[tuple[int, int, int]] | None = None,
-) -> None:
-    path = config.path
-    path.mkdir(parents=True, exist_ok=True)
-    header = _header_bytes(config.index_kind)
-
-    with open(path / "dict_fwd", "wb") as f:
-        f.write(header)
-        for term_id, term in dictionary.items():
-            token = format_term(term).encode("utf-8")
-            f.write(struct.pack("<I", len(token)) + token + struct.pack("<Q", term_id))
-    with open(path / "dict_rev", "wb") as f:
-        f.write(header)
-        for term_id, term in dictionary.items():
-            token = format_term(term).encode("utf-8")
-            f.write(struct.pack("<QI", term_id, len(token)) + token)
-
+def _triples_body(triples: Iterable[tuple[int, int, int]], count: int) -> Iterator[bytes]:
+    """Body of ``adj`` or ``delta``: a u64 record count, then (s, p, o) u64s."""
+    yield _U64.pack(count)
     flat: list[int] = []
-    for s, p, o in index.iter_triples():
-        flat.extend((s, p, o))
-    with open(path / "adj", "wb") as f:
-        f.write(header)
-        f.write(struct.pack("<Q", len(flat) // 3))
-        f.write(struct.pack(f"<{len(flat)}Q", *flat))
+    for t in triples:
+        flat.extend(t)
+        if len(flat) >= 3 * _CHUNK:
+            yield struct.pack(f"<{len(flat)}Q", *flat)
+            flat.clear()
+    yield struct.pack(f"<{len(flat)}Q", *flat)
 
-    with open(path / "adj_count", "wb") as f:
-        f.write(header)
-        f.write(struct.pack("<Q", len(counts)))
-        for k in sorted(counts):
-            f.write(struct.pack("<QQ", k, counts[k]))
 
+def _write_meta(store: Store) -> None:
+    report = store.report
     meta = {
-        "index_kind": config.index_kind.value,
-        "cache_size_bytes": config.cache_size_bytes,
         "triples": report.triples,
         "distinct_terms": report.distinct_terms,
         "duplicates": report.duplicates,
         "literals": report.literals,
-        "derived": len(delta) if delta else 0,
+        "derived": len(store.delta),
     }
-    with open(path / "meta", "wb") as f:
-        f.write(header)
-        f.write(json.dumps(meta, indent=2).encode("utf-8"))
-
-    delta_path = path / "delta"
-    if delta:
-        flat = [x for t in delta for x in t]
-        with open(delta_path, "wb") as f:
-            f.write(header)
-            f.write(struct.pack("<Q", len(delta)))
-            f.write(struct.pack(f"<{len(flat)}Q", *flat))
-    else:
-        # An old delta would otherwise outlive the derivations it held.
-        delta_path.unlink(missing_ok=True)
+    _write_file(store.config.path / "meta", [json.dumps(meta, indent=2).encode("utf-8")])
 
 
-def _read_file(path: Path) -> tuple[IndexKind, bytes]:
+def _read_file(path: Path) -> bytes:
+    """The whole file, header included, once its magic, version and CRC hold."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise StoreCorrupt(f"{path}: missing store file") from None
-    kind = _check_header(data, path)
-    return kind, data[_HEADER.size :]
-
-
-def _read_records(path: Path, width: int) -> tuple[int, ...]:
-    """Body of ``adj``, ``adj_count`` or ``delta``: a u64 record count, then
-    that many records of ``width`` u64 words; StoreCorrupt on a size mismatch."""
-    _, body = _read_file(path)
-    if len(body) < 8:
-        raise StoreCorrupt(f"{path}: short read of the record count at byte offset {_HEADER.size}")
-    (n,) = struct.unpack_from("<Q", body)
-    expected = 8 + 8 * width * n
-    if len(body) != expected:
+    if len(data) < _HEADER.size:
+        raise StoreCorrupt(f"{path}: truncated header: {len(data)} bytes at byte offset 0")
+    magic, version, expected = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise StoreCorrupt(f"{path}: bad magic {magic!r} at byte offset 0")
+    if version != FORMAT_VERSION:
         raise StoreCorrupt(
-            f"{path}: {n} records need {expected - 8} bytes at byte offset {_HEADER.size + 8},"
-            f" found {len(body) - 8}"
+            f"{path}: unsupported format version {version} (this build reads version"
+            f" {FORMAT_VERSION}; reload the store from N-Triples)"
         )
-    return struct.unpack_from(f"<{width * n}Q", body, 8)
+    found = zlib.crc32(memoryview(data)[_HEADER.size :])
+    if found != expected:
+        raise StoreCorrupt(
+            f"{path}: CRC mismatch in the {len(data) - _HEADER.size}-byte body at byte offset"
+            f" {_HEADER.size}: header says {expected:#010x}, body has {found:#010x}"
+        )
+    return data
 
 
-def open_store(path: Path | str, cache_size_bytes: int | None = None) -> Store:
+def _read_triples(path: Path) -> Iterator[tuple[int, int, int]]:
+    """Records of ``adj`` or ``delta``; StoreCorrupt on a size mismatch."""
+    data = _read_file(path)
+    start = _HEADER.size + _U64.size
+    if len(data) < start:
+        raise StoreCorrupt(f"{path}: short read of the record count at byte offset {_HEADER.size}")
+    (n,) = _U64.unpack_from(data, _HEADER.size)
+    if len(data) - start != 24 * n:
+        raise StoreCorrupt(
+            f"{path}: {n} records need {24 * n} bytes at byte offset {start},"
+            f" found {len(data) - start}"
+        )
+    return struct.iter_unpack("<3Q", memoryview(data)[start:])
+
+
+def open_store(path: Path | str) -> Store:
     """Open an existing store directory; raises StoreCorrupt on any mismatch."""
     path = Path(path)
-    kind, meta_body = _read_file(path / "meta")
     try:
-        meta = json.loads(meta_body)
-    except json.JSONDecodeError as exc:
+        meta = json.loads(_read_file(path / "meta")[_HEADER.size :])
+    except ValueError as exc:
         raise StoreCorrupt(f"{path / 'meta'}: bad JSON payload: {exc}") from None
-    if meta.get("index_kind") != kind.value:
-        raise StoreCorrupt(f"{path / 'meta'}: header/body index kind mismatch")
+    if not isinstance(meta, dict):
+        raise StoreCorrupt(f"{path / 'meta'}: payload is not a JSON object")
 
     dictionary = Dictionary()
-    _, rev = _read_file(path / "dict_rev")
-    offset = 0
+    rev = _read_file(path / "dict_rev")
+    offset = _HEADER.size
     try:
         while offset < len(rev):
-            term_id, length = struct.unpack_from("<QI", rev, offset)
-            end = offset + 12 + length
-            token = rev[offset + 12 : end].decode("utf-8")
+            term_id, length = _REV_RECORD.unpack_from(rev, offset)
+            end = offset + _REV_RECORD.size + length
+            token = rev[offset + _REV_RECORD.size : end].decode("utf-8")
             dictionary._restore(term_id, parse_term(token))
             offset = end
     except (struct.error, ValueError) as exc:
-        raise StoreCorrupt(
-            f"{path / 'dict_rev'}: bad record at byte offset {_HEADER.size + offset}: {exc}"
-        ) from None
+        raise StoreCorrupt(f"{path / 'dict_rev'}: bad record at byte offset {offset}: {exc}") from None
     if offset != len(rev):
         raise StoreCorrupt(
             f"{path / 'dict_rev'}: last record runs past the end of the file"
-            f" at byte offset {_HEADER.size + len(rev)}"
+            f" at byte offset {len(rev)}"
         )
-    fwd_kind, fwd = _read_file(path / "dict_fwd")
-    if fwd_kind is not kind:
-        raise StoreCorrupt(f"{path / 'dict_fwd'}: index kind disagrees with meta")
 
-    flat = _read_records(path / "adj", 3)
-    n_triples = len(flat) // 3
-    entries: dict[int, list[tuple[int, int]]] = {}
-    for i in range(0, len(flat), 3):
-        entries.setdefault(flat[i], []).append((flat[i + 1], flat[i + 2]))
-    index = _build_index(kind, entries)
-
-    cflat = _read_records(path / "adj_count", 2)
-    counts = dict(zip(cflat[0::2], cflat[1::2]))
-    for k, c in counts.items():
-        if index.pair_count(k) != c:
-            raise StoreCorrupt(f"{path / 'adj_count'}: count for key {k} disagrees with adj")
-    if sum(counts.values()) != n_triples:
-        raise StoreCorrupt(f"{path / 'adj_count'}: totals disagree with adj")
+    entries: Adjacency = {}
+    n_triples = 0
+    for s, p, o in _read_triples(path / "adj"):
+        entries.setdefault(s, []).append((p, o))
+        n_triples += 1
+    if meta.get("triples", n_triples) != n_triples:
+        raise StoreCorrupt(f"{path / 'meta'}: {meta['triples']} triples, but adj holds {n_triples}")
 
     delta: list[tuple[int, int, int]] = []
     delta_path = path / "delta"
     if delta_path.exists():
-        dflat = _read_records(delta_path, 3)
-        delta = [(dflat[i], dflat[i + 1], dflat[i + 2]) for i in range(0, len(dflat), 3)]
+        delta = list(_read_triples(delta_path))
+        for i, term_id in enumerate(x for t in delta for x in t):
+            if not dictionary.is_issued(term_id):
+                raise StoreCorrupt(
+                    f"{delta_path}: id {term_id} was never issued, at byte offset"
+                    f" {_HEADER.size + _U64.size + 8 * i}"
+                )
 
-    config = StoreConfig(
-        path=path,
-        index_kind=kind,
-        cache_size_bytes=cache_size_bytes or meta.get("cache_size_bytes", 64 * 1024 * 1024),
-    )
     report = LoadReport(
-        triples=meta.get("triples", n_triples),
+        triples=n_triples,
         distinct_terms=meta.get("distinct_terms", len(dictionary)),
         duplicates=meta.get("duplicates", 0),
         literals=meta.get("literals", dictionary.literal_count()),
     )
-    return Store(config, dictionary, index, counts, report, delta=delta)
-
-
-def save_delta(store: Store, delta: list[tuple[int, int, int]]) -> None:
-    """Persist derived triples (and any dictionary growth) alongside the base data."""
-    store.delta = list(delta)
-    _write_store(
-        store.config, store.dictionary, store.index, store.counts, store.report, store.delta
-    )
+    return Store(StoreConfig(path), dictionary, _sorted_adjacency(entries), report, delta=delta)

@@ -26,7 +26,9 @@ class Term:
         return isinstance(self, Literal)
 
 
-_IRI_FORBIDDEN = set('<>"{}|^`\\')
+# Whitespace, control characters and the token delimiters; anything else
+# survives an angle-bracket round trip.
+_IRI_FORBIDDEN = re.compile(r'[\s<>"{}|^`\\\x00-\x1f]')
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,11 +38,9 @@ class IRI(Term):
     def __post_init__(self) -> None:
         if not self.value:
             raise ValueError("IRI must be non-empty")
-        for c in self.value:
-            # whitespace plus the token delimiters; anything else would not
-            # survive an angle-bracket round trip
-            if c.isspace() or c in _IRI_FORBIDDEN or ord(c) < 0x20:
-                raise ValueError(f"IRI contains forbidden character {c!r}: {self.value!r}")
+        bad = _IRI_FORBIDDEN.search(self.value)
+        if bad:
+            raise ValueError(f"IRI contains forbidden character {bad.group()!r}: {self.value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from ldm3n import serialize_ntriples
@@ -228,11 +230,11 @@ def test_empty_materialize_and_reload_drop_the_old_delta(derived_store, capsys):
     assert stats_triples(store, capsys) == "triples,4"
 
 
-@pytest.mark.parametrize("name", ["adj", "adj_count", "delta", "dict_rev"])
+@pytest.mark.parametrize("name", ["adj", "delta", "dict_rev"])
 def test_short_store_file_exits_three(derived_store, capsys, name):
     store, _ = derived_store
     path = store / name
-    # 30 bytes cut the records after the 9-byte header and the 8-byte count;
+    # 30 bytes cut the records after the 12-byte header and the 8-byte count;
     # dict_rev loses the last 3 bytes of its last term.
     size = path.stat().st_size - 3 if name == "dict_rev" else 30
     with open(path, "r+b") as f:
@@ -243,6 +245,41 @@ def test_short_store_file_exits_three(derived_store, capsys, name):
     assert err.startswith("error:")
     assert str(path) in err and "byte offset" in err
     assert "Traceback" not in err
+
+
+def test_materialize_leaves_adj_untouched(tmp_path, capsys):
+    nt = tmp_path / "schema.nt"
+    nt.write_text(
+        f"<{EX}a> <{RDFS}subPropertyOf> <{EX}b> .\n"
+        f"<{EX}x> <{EX}a> <{EX}y> .\n"
+        f"<{EX}b> <{RDFS}domain> <{EX}D> .\n",
+        encoding="utf-8",
+    )
+    store = tmp_path / "s"
+    assert main(["load", "--store", str(store), "--input", str(nt)]) == 0
+    adj = (store / "adj").stat()
+    assert main(["entail", "--store", str(store), "--materialize"]) == 0
+    assert "# summary: derived=2" in capsys.readouterr().out
+    after = (store / "adj").stat()
+    assert (after.st_ino, after.st_mtime_ns, after.st_size) == (adj.st_ino, adj.st_mtime_ns, adj.st_size)
+    assert stats_triples(store, capsys) == "triples,5"
+
+
+def test_version_one_store_exits_three(loaded_store, capsys):
+    for path in loaded_store.iterdir():
+        body = path.read_bytes()[12:]
+        path.write_bytes(struct.pack("<6sHB", b"LDM3N\0", 1, 0) + body)
+    code = main(["stats", "--store", str(loaded_store)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "unsupported format version 1" in err and "Traceback" not in err
+
+
+def test_load_rejects_removed_flags(tmp_path, fixture_nt):
+    for flag in (["--index-kind", "hash"], ["--cache-size", "1024"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["load", "--store", str(tmp_path / "s"), "--input", str(fixture_nt), *flag])
+        assert exc.value.code == 2
 
 
 def test_bench_end_to_end(tmp_path, capsys):
@@ -269,3 +306,16 @@ def test_bench_end_to_end(tmp_path, capsys):
     report = out_file.read_text()
     assert "# summary: pairs=2 reachable=1" in report
     assert ",found,9," in report
+
+
+def test_bench_unknown_term_exits_one(loaded_store, tmp_path, capsys):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"source_iri,target_iri\n{EX}BillClinton,{EX}GeorgeWBush\n{EX}nobody,{EX}FrankWhite\n")
+    code = main([
+        "bench", "--store", str(loaded_store), "--mode", "spath", "--model", "ldm3n",
+        "--pairs", str(pairs),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: pairs line 3: term not in store: <{EX}nobody>\n"
+    assert captured.out == ""

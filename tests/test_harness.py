@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from ldm3n import Literal, Model, Triple, dijkstra_ldm3n, dijkstra_nlan, forward_transform, shortest_path
-from ldm3n.errors import Ldm3nError, UnknownProperty
+from ldm3n.errors import Ldm3nError, UnknownNode, UnknownProperty
 from ldm3n.harness import (
     GENERIC_POSITION_PROPERTY,
     ChainSpec,
@@ -291,6 +291,8 @@ def test_reach_batch_equals_spath_without_paths(make_store):
 def test_read_pairs_csv_accepts_bare_and_token_forms(make_store):
     store = make_store([Triple(ex("a"), ex("p"), ex("b"))])
     a, b = store.resolve(ex("a")), store.resolve(ex("b"))
-    text = f"source_iri,target_iri\n{EX}a,{EX}b\n<{EX}b>,<{EX}a>\n{EX}missing,{EX}a\n"
+    text = f"source_iri,target_iri\n{EX}a,{EX}b\n<{EX}b>,<{EX}a>\n"
     pairs = read_pairs_csv(io.StringIO(text), store)
-    assert pairs == [(a, b), (b, a), (0, a)]
+    assert pairs == [(a, b), (b, a)]
+    with pytest.raises(UnknownNode, match=f"pairs line 4: term not in store: <{EX}missing>"):
+        read_pairs_csv(io.StringIO(text + f"{EX}a,{EX}missing\n"), store)

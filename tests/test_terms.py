@@ -25,6 +25,24 @@ def test_iri_rejects_whitespace_and_empty():
         IRI("http://a>b")  # would not survive an angle-bracket round trip
 
 
+def test_iri_forbidden_characters_match_the_per_character_rule():
+    # U+3000 is the highest code point str.isspace() accepts.
+    for code in range(0x3001):
+        c = chr(code)
+        forbidden = c.isspace() or c in '<>"{}|^`\\' or code < 0x20
+        if forbidden:
+            with pytest.raises(ValueError) as exc:
+                IRI(f"http://a{c}b{c}")
+            assert str(exc.value).startswith(f"IRI contains forbidden character {c!r}:")
+        else:
+            assert IRI(f"http://a{c}b").value == f"http://a{c}b"
+
+
+def test_iri_error_names_the_first_forbidden_character():
+    with pytest.raises(ValueError, match=r"forbidden character '>': 'http://a>b c'"):
+        IRI("http://a>b c")
+
+
 def test_literal_rejects_datatype_plus_language():
     with pytest.raises(ValueError):
         Literal("x", datatype="http://dt", language="en")
