@@ -1,6 +1,6 @@
 """Embedded RDF graph engine with triple-node graph semantics.
 
-Triples load into a dictionary-encoded, subject-keyed adjacency store and
+Triples load into a dictionary-encoded store keyed by subject and
 can be traversed under two models: the triple-node model, where subjects,
 predicates, and objects are all nodes joined per triple by a paired
 initial/terminal edge, and the conventional labeled-arc model. The package

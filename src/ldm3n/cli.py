@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import harness, semantics, storage
 from .errors import Ldm3nError, MalformedLine, StoreCorrupt
-from .ntriples import parse_ntriples, write_ntriples
+from .ntriples import parse_ntriples
 from .semantics import Rule, StoreView, Vocabulary, resolve_vocabulary
-from .terms import Triple, format_term, parse_term
+from .terms import format_term, parse_term
 from .traversal import Model, shortest_path
 
 
@@ -69,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--pairs", required=True, help="CSV of source_iri,target_iri rows")
     p_bench.add_argument("--out", default="-", help="report destination (default stdout)")
     p_bench.add_argument("--max-dist", type=int, default=None)
+    p_bench.add_argument("--with-derived", action="store_true", help="query base plus materialized delta")
 
     p_stats = sub.add_parser("stats", help="store statistics as metric,value CSV")
     p_stats.add_argument("--store", required=True, type=Path)
@@ -101,7 +103,7 @@ def _cmd_load(args) -> int:
     try:
         triples = parse_ntriples(source, strict=not args.lenient, errors=errors)
         config = storage.StoreConfig(args.store)
-        _, _, report = storage.load_triples(config, triples)
+        report = storage.load_triples(config, triples)[-1]
     finally:
         if source is not sys.stdin:
             source.close()
@@ -128,8 +130,8 @@ def _cmd_query(args) -> int:
     if result.found:
         path = "/".join(format_term(store.decode(n)) for n in result.resource_path)
     row = [
-        format_term(store.decode(source)),
-        format_term(store.decode(target)),
+        store.token(source),
+        store.token(target),
         model.value,
         ("reachable" if result.found else "unreachable")
         if args.command == "reach"
@@ -159,10 +161,11 @@ def _cmd_entail(args) -> int:
     )
 
     def emit(out) -> None:
-        write_ntriples(
-            (Triple(store.decode(s), store.decode(p), store.decode(o)) for s, p, o in result.view.delta),
-            out,
-        )
+        # Stored tokens are format_term output, so these are N-Triples lines;
+        # derived triples share few distinct ids.
+        token = cache(store.token)
+        for s, p, o in result.view.delta:
+            out.write(f"{token(s)} {token(p)} {token(o)} .\n")
         out.write(
             f"# summary: derived={result.derived_count} rounds={result.rounds}"
             f" singleton_violations={len(violations)}\n"
@@ -188,7 +191,7 @@ def _cmd_validate(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["property", "kind", "occurrences"])
     for v in violations:
-        writer.writerow([format_term(store.decode(v.property_id)), v.kind.value, v.occurrences])
+        writer.writerow([store.token(v.property_id), v.kind.value, v.occurrences])
     return 0
 
 
@@ -200,10 +203,10 @@ def _cmd_bench(args) -> int:
         view, pairs, Model(args.model), args.mode, workers=args.workers, max_dist=args.max_dist
     )
     if args.out == "-":
-        report.write_csv(sys.stdout, store.dictionary)
+        report.write_csv(sys.stdout, store)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as f:
-            report.write_csv(f, store.dictionary)
+            report.write_csv(f, store)
     return 0
 
 

@@ -4,12 +4,20 @@ Literals get odd ids (1, 3, 5, ...) and every other term gets even ids
 (2, 4, 6, ...), so a single parity check tells traversal whether an id can
 ever have outgoing pairs. Id 0 is reserved as the "no node" sentinel and is
 never issued. Blank nodes can be subjects, so they count as non-literals.
+
+Terms are keyed by their N-Triples token. An opened store's terms stay in
+its term tables, undecoded, until one is asked for; terms issued after the
+tables (while loading, or minted by entailment) are held in memory.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from heapq import merge
+from typing import Iterator, Sequence
+
 from .errors import CapacityExhausted, UnknownId
-from .terms import Literal, Term
+from .terms import Literal, Term, format_term, parse_term
 
 MAX_ID = 2**64 - 1
 
@@ -21,32 +29,64 @@ def is_literal_id(term_id: int) -> bool:
     return term_id & 1 == 1
 
 
+def id_index(term_id: int) -> int:
+    """Position of an id among the ids of its parity: 2 and 1 are 0, 4 and 3 are 1."""
+    return term_id // 2 - 1 + (term_id & 1)
+
+
+class TermTable:
+    """Tokens of one parity, in id order: token i is the UTF-8 bytes
+    ``data[at + offsets[i] : at + offsets[i + 1]]``."""
+
+    def __init__(self, offsets: Sequence[int] = (0,), data: bytes = b"", at: int = 0):
+        self.offsets = offsets
+        self.data = data
+        self.at = at
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def raw(self, i: int) -> bytes:
+        at = self.at
+        return self.data[at + self.offsets[i] : at + self.offsets[i + 1]]
+
+
 class Dictionary:
     """Exact two-way map between terms and dense parity-typed integer ids.
 
     Encoding is idempotent and deterministic: feeding the same term sequence
-    to a fresh dictionary always yields the same assignment. Mutable only
-    while loading; afterwards it is shared read-only by query workers.
+    to a fresh dictionary always yields the same assignment. Terms of the
+    tables are found by bisecting ``by_token``, the ids sorted by token
+    bytes. Mutable only while loading or entailing; otherwise it is shared
+    read-only by query workers.
     """
 
-    def __init__(self) -> None:
-        self._forward: dict[Term, int] = {}
-        self._reverse: dict[int, Term] = {}
-        self._next_even = 2
-        self._next_odd = 1
+    def __init__(self, tables: tuple[TermTable, TermTable] | None = None, by_token: Sequence[int] = ()):
+        self._tables = tables or (TermTable(), TermTable())
+        self._sizes = (len(self._tables[0]), len(self._tables[1]))
+        self._by_token = by_token
+        self._added: dict[str, int] = {}
+        self._added_tokens: tuple[list[str], list[str]] = ([], [])
+        self._next_even = 2 * self._sizes[0] + 2
+        self._next_odd = 2 * self._sizes[1] + 1
 
     def __len__(self) -> int:
-        return len(self._forward)
+        return (self._next_even - 2) // 2 + (self._next_odd - 1) // 2
 
     def __contains__(self, term: Term) -> bool:
-        return term in self._forward
+        return self.lookup(term) is not None
 
     def encode(self, term: Term) -> int:
         """Return the id for ``term``, issuing the next one of its parity if new."""
-        existing = self._forward.get(term)
-        if existing is not None:
-            return existing
-        if isinstance(term, Literal):
+        token = format_term(term)
+        existing = self._find(token)
+        if existing is None:
+            return self.issue(token, isinstance(term, Literal))
+        return existing
+
+    def issue(self, token: str, literal: bool) -> int:
+        """Issue the next id of the parity for a token not yet in the dictionary."""
+        if literal:
             new_id = self._next_odd
             if new_id > MAX_ID:
                 raise CapacityExhausted("odd id counter exhausted")
@@ -56,39 +96,66 @@ class Dictionary:
             if new_id > MAX_ID:
                 raise CapacityExhausted("even id counter exhausted")
             self._next_even += 2
-        self._forward[term] = new_id
-        self._reverse[new_id] = term
+        self._added[token] = new_id
+        self._added_tokens[new_id & 1].append(token)
         return new_id
+
+    def token(self, term_id: int) -> str:
+        """The N-Triples token of an id, unparsed; UnknownId if never issued."""
+        parity = term_id & 1
+        i = id_index(term_id)
+        if i >= 0:
+            n = self._sizes[parity]
+            if i < n:
+                return self._tables[parity].raw(i).decode("utf-8")
+            added = self._added_tokens[parity]
+            if i - n < len(added):
+                return added[i - n]
+        raise UnknownId(f"id {term_id} was never issued")
 
     def decode(self, term_id: int) -> Term:
         """Return the unique term with this id; UnknownId if never issued."""
-        try:
-            return self._reverse[term_id]
-        except KeyError:
-            raise UnknownId(f"id {term_id} was never issued") from None
+        return parse_term(self.token(term_id))
 
     def lookup(self, term: Term) -> int | None:
         """Non-mutating encode: the id if the term is known, else None."""
-        return self._forward.get(term)
+        return self._find(format_term(term))
+
+    def _find(self, token: str) -> int | None:
+        found = self._added.get(token)
+        if found is None and self._by_token:
+            key = token.encode("utf-8")
+            by_token = self._by_token
+            i = bisect_left(by_token, key, key=self._raw)
+            if i < len(by_token) and self._raw(by_token[i]) == key:
+                found = by_token[i]
+        return found
+
+    def _raw(self, term_id: int) -> bytes:
+        return self._tables[term_id & 1].raw(id_index(term_id))
+
+    def in_table(self, term_id: int) -> bool:
+        """True iff an issued id's token lives in the tables, not in memory."""
+        return id_index(term_id) < self._sizes[term_id & 1]
 
     def is_issued(self, term_id: int) -> bool:
-        return term_id in self._reverse
+        return 1 <= term_id < (self._next_odd if term_id & 1 else self._next_even)
 
-    def ids(self):
-        return self._reverse.keys()
+    def id_ranges(self) -> tuple[range, range]:
+        """The issued even ids and the issued odd ids."""
+        return range(2, self._next_even, 2), range(1, self._next_odd, 2)
 
-    def items(self):
-        """(id, term) pairs in issue order."""
-        return self._reverse.items()
+    def ids(self) -> Iterator[int]:
+        """Every issued id, ascending."""
+        return merge(*reversed(self.id_ranges()))
+
+    def items(self) -> Iterator[tuple[int, Term]]:
+        """(id, term) pairs, ascending by id."""
+        return ((term_id, self.decode(term_id)) for term_id in self.ids())
+
+    def added(self) -> tuple[list[str], list[str]]:
+        """Tokens issued after the tables, even ids then odd ids, each in id order."""
+        return self._added_tokens
 
     def literal_count(self) -> int:
         return (self._next_odd - 1) // 2
-
-    def _restore(self, term_id: int, term: Term) -> None:
-        """Re-insert a persisted (id, term) pair; advances the parity counters."""
-        self._forward[term] = term_id
-        self._reverse[term_id] = term
-        if term_id & 1:
-            self._next_odd = max(self._next_odd, term_id + 2)
-        else:
-            self._next_even = max(self._next_even, term_id + 2)

@@ -9,7 +9,7 @@ map to a single node, which is what makes cross-triple traversal possible.
 
 This explicit structure exists for model-level reasoning and as the oracle
 counterpart of the index-backed engine; query execution itself walks the
-storage adjacency index, where the edge pair of each triple is implicit.
+store's subject rows, where the edge pair of each triple is implicit.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import UnknownNode, UnknownProperty
 from .semantics import RDF_SINGLETON_PROPERTY_OF, Vocabulary, resolve_vocabulary
-from .terms import IRI, Triple, format_term
+from .terms import IRI, Triple
 from .traversal import Model, PathStatus, _dijkstra, check_endpoints
 
 CHAIN_NS = "http://example.org/chain/"
@@ -206,7 +206,8 @@ class BatchReport:
     def write_csv(self, out: IO, dictionary=None) -> None:
         """Records as CSV rows, then per-distance and summary trailer lines.
 
-        Each distinct term id is rendered once per call.
+        ``dictionary`` (a Dictionary or a Store) renders each distinct issued
+        term id once per call, as its stored token; other ids print as numbers.
         """
         names: dict[int, str] = {}
 
@@ -216,7 +217,7 @@ class BatchReport:
                 if dictionary is None or not dictionary.is_issued(term_id):
                     text = str(term_id)
                 else:
-                    text = format_term(dictionary.decode(term_id))
+                    text = dictionary.token(term_id)
                 names[term_id] = text
             return text
 

@@ -93,12 +93,3 @@ def serialize_ntriples(triples: Iterable[Triple]) -> str:
         f"{format_term(t.subject)} {format_term(t.predicate)} {format_term(t.object)} .\n"
         for t in triples
     )
-
-
-def write_ntriples(triples: Iterable[Triple], out: IO) -> int:
-    """Stream triples to a writable text file object; returns the line count."""
-    n = 0
-    for t in triples:
-        out.write(f"{format_term(t.subject)} {format_term(t.predicate)} {format_term(t.object)} .\n")
-        n += 1
-    return n

@@ -1,45 +1,68 @@
-"""Persistent store: one dictionary and one subject-keyed adjacency.
+"""Persistent store: one dictionary and one subject-keyed CSR index.
 
-A store is a directory of three files, plus an optional fourth, each
-starting with a 12-byte header (magic ``LDM3N\\0``, u16 format version,
-u32 CRC-32 of the body that follows):
+A store is a directory holding ``base``, written once by ``load``, and an
+optional ``delta``, written by ``save_delta``. Each file starts with a
+16-byte header (magic ``LDM3N\\0``, u16 format version, u32 CRC-32 of the
+section table, u32 section count) and a table of 24-byte entries (u64
+offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
 
-    dict_rev   id -> term token records, in issue order
-    adj        distinct encoded triples (s, p, o), sorted
-    meta       JSON: the load report
-    delta      derived triples written by ``save_delta`` (optional)
+    base    meta                    JSON: the load report
+            even_off, even_tok      term table of the even ids 2, 4, 6, ...:
+            odd_off, odd_tok        token i is tok[off[i]:off[i + 1]], and
+                                    likewise for the odd ids 1, 3, 5, ...
+            by_token                every id, sorted by token bytes
+            rows                    CSR row starts, indexed by id // 2 - 1
+            s, p, o                 the distinct triples, sorted by (s, p, o)
+    delta   base                    CRC-32 of base's section table
+            even_off ... odd_tok    tokens of terms minted by entailment,
+                                    whose ids continue each parity
+            s, p, o                 derived triples, in derivation order
 
-Triples are held under their subject id; the initial/terminal edge pair of
-each triple is implicit in the stored record, so the same adjacency serves
-both traversal models. Loading dedups exact duplicates (set semantics), and
-neighbor lists are kept sorted by (pred, obj) so every downstream answer is
-deterministic. After load the store is read-only and safe to share across
-concurrent query workers.
+Integer sections are little-endian with itemsize 4, or 8 when a value needs
+it. Opening a store checks every CRC and that every stored id was issued,
+then takes views of the bytes: no term is parsed until it is decoded. The
+initial/terminal edge pair of each triple is implicit in its row, so the
+same rows serve both traversal models. Loading dedups exact
+duplicates (set semantics), and each row is sorted by (pred, obj) so every
+downstream answer is deterministic. Both files are written to a temporary
+name and then renamed into place; ``base`` is never rewritten. After load
+the store is read-only and safe to share across concurrent query workers.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import sys
 import zlib
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_left, bisect_right
+from dataclasses import asdict, dataclass, field
+from itertools import accumulate, compress
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .dictionary import Dictionary
+from .dictionary import Dictionary, TermTable
 from .errors import StoreCorrupt, UnknownNode
 from .terms import Term, Triple, format_term, parse_term
 
 MAGIC = b"LDM3N\0"
-FORMAT_VERSION = 2
-_HEADER = struct.Struct("<6sHI")
-_REV_RECORD = struct.Struct("<QI")
-_U64 = struct.Struct("<Q")
-# Records gathered into one write (and one CRC update) while streaming a body.
-_CHUNK = 8192
+FORMAT_VERSION = 3
+_HEADER = struct.Struct("<6sHII")
+_ENTRY = struct.Struct("<QQII")
+_COUNT = struct.Struct("<I")
+_TERM_SECTIONS = ("even_off", "even_tok", "odd_off", "odd_tok")
+_BASE_SECTIONS = ("meta", *_TERM_SECTIONS, "by_token", "rows", "s", "p", "o")
+_DELTA_SECTIONS = ("base", *_TERM_SECTIONS, "s", "p", "o")
+_BYTE_SECTIONS = {"meta", "even_tok", "odd_tok"}
+_CODES = {4: "I", 8: "Q"}
+_LITTLE = sys.byteorder == "little"
+# Byte translations: 1 for an odd byte, and 1 for a 0 byte.
+_ODD = bytes(i & 1 for i in range(256))
+_NOT = bytes([1]) + bytes(255)
 
-Adjacency = dict[int, list[tuple[int, int]]]
+Section = tuple[bytes, int]  # body, itemsize
 
 
 @dataclass
@@ -60,39 +83,55 @@ class LoadReport:
 
 @dataclass
 class Store:
-    """An opened store: dictionary, adjacency, load report and derived delta.
+    """An opened store: dictionary, CSR columns, load report and derived delta.
 
-    ``adjacency`` maps each subject id, in ascending order, to its sorted
-    (pred, obj) pairs.
+    Row ``i`` holds the triples of subject ``2 * (i + 1)``: positions
+    ``rows[i]`` to ``rows[i + 1]`` of the ``s``, ``p`` and ``o`` columns.
     """
 
     config: StoreConfig
     dictionary: Dictionary
-    adjacency: Adjacency
     report: LoadReport
+    rows: Sequence[int]
+    s: Sequence[int]
+    p: Sequence[int]
+    o: Sequence[int]
     delta: list[tuple[int, int, int]] = field(default_factory=list)
+    base_crc: int = 0
 
     # -- query surface shared with semantics.StoreView ------------------
+
+    def _row(self, node: int) -> tuple[int, int]:
+        i = node >> 1
+        if node & 1 or not 0 < i < len(self.rows):
+            return 0, 0
+        return self.rows[i - 1], self.rows[i]
 
     def neighbors(self, node: int) -> list[tuple[int, int]]:
         """All (pred, obj) pairs under ``node``, sorted, as a new list; [] for
         sinks and unknown ids."""
-        return list(self.adjacency.get(node, ()))
+        # _row inlined: this is the traversal's innermost call.
+        rows = self.rows
+        i = node >> 1
+        if node & 1 or not 0 < i < len(rows):
+            return []
+        a = rows[i - 1]
+        b = rows[i]
+        return list(zip(self.p[a:b], self.o[a:b]))
 
     def pair_count(self, node: int) -> int:
-        return len(self.adjacency.get(node, ()))
+        a, b = self._row(node)
+        return b - a
 
     def iter_triples(self) -> Iterator[tuple[int, int, int]]:
-        for s, pairs in self.adjacency.items():
-            for p, o in pairs:
-                yield (s, p, o)
+        return zip(self.s, self.p, self.o)
 
     def contains(self, s: int, p: int, o: int) -> bool:
-        pairs = self.adjacency.get(s)
-        if pairs is None:
-            return False
-        i = bisect_left(pairs, (p, o))
-        return i < len(pairs) and pairs[i] == (p, o)
+        a, b = self._row(s)
+        a = bisect_left(self.p, p, a, b)
+        b = bisect_right(self.p, p, a, b)
+        i = bisect_left(self.o, o, a, b)
+        return i < b and self.o[i] == o
 
     def is_issued(self, term_id: int) -> bool:
         return self.dictionary.is_issued(term_id)
@@ -100,8 +139,24 @@ class Store:
     def triple_count(self) -> int:
         return self.report.triples
 
+    def token(self, term_id: int) -> str:
+        """The stored N-Triples token of an id, unparsed."""
+        try:
+            return self.dictionary.token(term_id)
+        except UnicodeDecodeError as exc:
+            raise self._bad_token(term_id, exc) from None
+
     def decode(self, term_id: int) -> Term:
-        return self.dictionary.decode(term_id)
+        token = self.token(term_id)
+        try:
+            return parse_term(token)
+        except ValueError as exc:
+            raise self._bad_token(term_id, exc) from None
+
+    def _bad_token(self, term_id: int, exc: Exception) -> StoreCorrupt:
+        name = "base" if self.dictionary.in_table(term_id) else "delta"
+        section = "odd_tok" if term_id & 1 else "even_tok"
+        return StoreCorrupt(f"{self.config.path / name}: section {section}: bad token of id {term_id}: {exc}")
 
     def resolve(self, term: Term) -> int:
         """Id for a term that must already be in the store; UnknownNode otherwise."""
@@ -111,135 +166,166 @@ class Store:
         return term_id
 
 
-def _sorted_adjacency(entries: Adjacency) -> Adjacency:
-    """``entries`` with subjects in ascending order and each pair list sorted."""
-    for pairs in entries.values():
-        pairs.sort()
-    return {s: entries[s] for s in sorted(entries)}
+def load_triples(config: StoreConfig, triples: Iterable[Triple]) -> tuple[Dictionary, LoadReport]:
+    """Encode, dedup, index, and persist a triple sequence as ``base``.
 
-
-def load_triples(
-    config: StoreConfig, triples: Iterable[Triple]
-) -> tuple[Dictionary, Adjacency, LoadReport]:
-    """Encode, dedup, index, and persist a triple sequence.
-
-    Every distinct input triple lands in the adjacency exactly once; exact
-    duplicates are counted in the report. Returns the in-memory views of
-    what was written under ``config.path``.
+    Every distinct input triple is stored exactly once; exact duplicates
+    are counted in the report. An old ``delta`` is removed.
     """
     dictionary = Dictionary()
-    entries: Adjacency = {}
+    encode = dictionary.encode
     seen: set[tuple[int, int, int]] = set()
-    report = LoadReport()
-
+    total = 0
     for t in triples:
-        s = dictionary.encode(t.subject)
-        p = dictionary.encode(t.predicate)
-        o = dictionary.encode(t.object)
-        key = (s, p, o)
-        if key in seen:
-            report.duplicates += 1
-            continue
-        seen.add(key)
-        entries.setdefault(s, []).append((p, o))
+        seen.add((encode(t.subject), encode(t.predicate), encode(t.object)))
+        total += 1
+    report = LoadReport(len(seen), len(dictionary), total - len(seen), dictionary.literal_count())
 
-    report.triples = len(seen)
-    report.distinct_terms = len(dictionary)
-    report.literals = dictionary.literal_count()
-
-    adjacency = _sorted_adjacency(entries)
-    store = Store(config, dictionary, adjacency, report)
+    even, odd = dictionary.added()
+    tokens = even + odd
+    ids = [*range(2, 2 * len(even) + 2, 2), *range(1, 2 * len(odd), 2)]
+    # Code point order is the UTF-8 byte order that lookups bisect in.
+    by_token = [ids[i] for i in sorted(range(len(tokens)), key=tokens.__getitem__)]
+    del tokens, ids  # not held while the sections are built
+    rows = [0] * (len(even) + 1)
+    s, p, o = zip(*sorted(seen)) if seen else ((), (), ())
+    for subject in s:
+        rows[subject >> 1] += 1
+    sections = [
+        (json.dumps(asdict(report)).encode("utf-8"), 1),
+        *_term_sections(even),
+        *_term_sections(odd),
+        _int_section(by_token),
+        _int_section(list(accumulate(rows))),
+        _int_section(s),
+        _int_section(p),
+        _int_section(o),
+    ]
     config.path.mkdir(parents=True, exist_ok=True)
-    _write_file(config.path / "dict_rev", _dict_rev_body(dictionary))
-    _write_file(config.path / "adj", _triples_body(store.iter_triples(), report.triples))
-    _write_meta(store)
-    # An old delta would otherwise outlive the store it was derived from.
-    (config.path / "delta").unlink(missing_ok=True)
-    return dictionary, adjacency, report
+    # The old delta goes first: a crash between the two steps leaves the
+    # old base without derivations, never a delta beside a base it was not
+    # derived from.
+    _remove(config.path / "delta")
+    _write_file(config.path / "base", sections)
+    return dictionary, report
 
 
 def create_store(config: StoreConfig, triples: Iterable[Triple]) -> Store:
-    dictionary, adjacency, report = load_triples(config, triples)
-    return Store(config, dictionary, adjacency, report)
+    load_triples(config, triples)
+    return open_store(config.path)
 
 
 def save_delta(store: Store, delta: list[tuple[int, int, int]]) -> None:
-    """Persist derived triples, and the dictionary they may have grown.
+    """Persist derived triples and the terms minted for them as ``delta``.
 
-    ``adj`` is never rewritten; an empty delta removes the ``delta`` file.
+    ``base`` is never rewritten; an empty delta removes the ``delta`` file.
     """
     store.delta = list(delta)
-    path = store.config.path
-    _write_file(path / "dict_rev", _dict_rev_body(store.dictionary))
-    if store.delta:
-        _write_file(path / "delta", _triples_body(store.delta, len(store.delta)))
-    else:
+    path = store.config.path / "delta"
+    if not store.delta:
         # An old delta would otherwise outlive the derivations it held.
-        (path / "delta").unlink(missing_ok=True)
-    _write_meta(store)
+        _remove(path)
+        return
+    even, odd = store.dictionary.added()
+    s, p, o = zip(*store.delta)
+    _write_file(path, [
+        _int_section([store.base_crc]),
+        *_term_sections(even),
+        *_term_sections(odd),
+        _int_section(s),
+        _int_section(p),
+        _int_section(o),
+    ])
 
 
 # -- on-disk format ------------------------------------------------------
 
 
-def _write_file(path: Path, body: Iterable[bytes]) -> None:
-    """Stream ``body`` after a placeholder header, then write the real header
-    with the body's CRC-32."""
-    crc = 0
-    with open(path, "wb") as f:
-        f.write(bytes(_HEADER.size))
-        for chunk in body:
-            f.write(chunk)
-            crc = zlib.crc32(chunk, crc)
-        f.seek(0)
-        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, crc))
+def _int_section(values: Sequence[int]) -> Section:
+    """Little-endian integers, 4 bytes each unless a value needs 8."""
+    column = array("I" if max(values, default=0) < 1 << 32 else "Q", values)
+    if not _LITTLE:
+        column.byteswap()
+    return column.tobytes(), column.itemsize
 
 
-def _dict_rev_body(dictionary: Dictionary) -> Iterator[bytes]:
-    parts: list[bytes] = []
-    for term_id, term in dictionary.items():
-        token = format_term(term).encode("utf-8")
-        parts.append(_REV_RECORD.pack(term_id, len(token)))
-        parts.append(token)
-        if len(parts) >= 2 * _CHUNK:
-            yield b"".join(parts)
-            parts.clear()
-    yield b"".join(parts)
+def _term_sections(tokens: list[str]) -> list[Section]:
+    """Token offsets, then the tokens' UTF-8 bytes back to back."""
+    offsets = list(accumulate(map(len, map(str.encode, tokens)), initial=0))
+    return [_int_section(offsets), ("".join(tokens).encode("utf-8"), 1)]
 
 
-def _triples_body(triples: Iterable[tuple[int, int, int]], count: int) -> Iterator[bytes]:
-    """Body of ``adj`` or ``delta``: a u64 record count, then (s, p, o) u64s."""
-    yield _U64.pack(count)
-    flat: list[int] = []
-    for t in triples:
-        flat.extend(t)
-        if len(flat) >= 3 * _CHUNK:
-            yield struct.pack(f"<{len(flat)}Q", *flat)
-            flat.clear()
-    yield struct.pack(f"<{len(flat)}Q", *flat)
+def _write_file(path: Path, sections: list[Section]) -> None:
+    """Write a header, the section table and the sections to a temporary
+    file, then rename it to ``path``."""
+    offset = _HEADER.size + _ENTRY.size * len(sections)
+    entries = []
+    for body, itemsize in sections:
+        entries.append(_ENTRY.pack(offset, len(body), itemsize, zlib.crc32(body)))
+        offset += len(body)
+    table = b"".join(entries)
+    crc = zlib.crc32(table, zlib.crc32(_COUNT.pack(len(sections))))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, crc, len(sections)) + table)
+            for body, _ in sections:
+                f.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        _remove(tmp)
+        raise
 
 
-def _write_meta(store: Store) -> None:
-    report = store.report
-    meta = {
-        "triples": report.triples,
-        "distinct_terms": report.distinct_terms,
-        "duplicates": report.duplicates,
-        "literals": report.literals,
-        "derived": len(store.delta),
-    }
-    _write_file(store.config.path / "meta", [json.dumps(meta, indent=2).encode("utf-8")])
+def _remove(path: Path) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
 
 
-def _read_file(path: Path) -> bytes:
-    """The whole file, header included, once its magic, version and CRC hold."""
+@dataclass(frozen=True)
+class _File:
+    """A read file whose header and section CRCs hold."""
+
+    path: Path
+    data: bytes
+    sections: dict[str, tuple[int, int, int]]  # name -> (offset, length, itemsize)
+    crc: int
+
+    def ints(self, name: str) -> Sequence[int]:
+        offset, length, itemsize = self.sections[name]
+        if _LITTLE:
+            return memoryview(self.data)[offset : offset + length].cast(_CODES[itemsize])
+        column = array(_CODES[itemsize])
+        column.frombytes(self.data[offset : offset + length])
+        column.byteswap()
+        return column
+
+    def table(self, parity: str) -> TermTable:
+        offsets = self.ints(parity + "_off")
+        at, length, _ = self.sections[parity + "_tok"]
+        if len(offsets) < 1 or offsets[0] != 0 or offsets[-1] != length:
+            raise StoreCorrupt(
+                f"{self.path}: section {parity}_off: offsets must run from 0 to {length},"
+                f" the length of {parity}_tok at byte offset {at}"
+            )
+        return TermTable(offsets, self.data, at)
+
+    def fail(self, name: str, what: str) -> StoreCorrupt:
+        return StoreCorrupt(f"{self.path}: section {name} at byte offset {self.sections[name][0]}: {what}")
+
+
+def _read_file(path: Path, names: tuple[str, ...]) -> _File:
+    """The file's bytes, once its magic, version, section table and every
+    section's CRC hold."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise StoreCorrupt(f"{path}: missing store file") from None
-    if len(data) < _HEADER.size:
+    if len(data) < 8:
         raise StoreCorrupt(f"{path}: truncated header: {len(data)} bytes at byte offset 0")
-    magic, version, expected = _HEADER.unpack_from(data)
+    magic, version = struct.unpack_from("<6sH", data)
     if magic != MAGIC:
         raise StoreCorrupt(f"{path}: bad magic {magic!r} at byte offset 0")
     if version != FORMAT_VERSION:
@@ -247,81 +333,127 @@ def _read_file(path: Path) -> bytes:
             f"{path}: unsupported format version {version} (this build reads version"
             f" {FORMAT_VERSION}; reload the store from N-Triples)"
         )
-    found = zlib.crc32(memoryview(data)[_HEADER.size :])
-    if found != expected:
+    end = _HEADER.size + _ENTRY.size * len(names)
+    if len(data) < end:
+        raise StoreCorrupt(f"{path}: truncated section table: {len(data)} bytes, the table ends at byte offset {end}")
+    _, _, expected, count = _HEADER.unpack_from(data)
+    found = zlib.crc32(memoryview(data)[_HEADER.size - _COUNT.size : end])
+    if count != len(names) or found != expected:
         raise StoreCorrupt(
-            f"{path}: CRC mismatch in the {len(data) - _HEADER.size}-byte body at byte offset"
-            f" {_HEADER.size}: header says {expected:#010x}, body has {found:#010x}"
+            f"{path}: bad section table at byte offset {_HEADER.size - _COUNT.size}: {count} sections"
+            f" (expected {len(names)}), header says CRC {expected:#010x}, table has {found:#010x}"
         )
-    return data
+    sections = {}
+    offset = end
+    for i, name in enumerate(names):
+        at, length, itemsize, crc = _ENTRY.unpack_from(data, _HEADER.size + _ENTRY.size * i)
+        if at != offset or at + length > len(data):
+            raise StoreCorrupt(
+                f"{path}: section {name} spans bytes {at} to {at + length}; expected it at byte"
+                f" offset {offset}, within the {len(data)}-byte file"
+            )
+        if itemsize not in ((1,) if name in _BYTE_SECTIONS else (4, 8)) or length % itemsize:
+            raise StoreCorrupt(f"{path}: section {name} at byte offset {at}: bad itemsize {itemsize} for {length} bytes")
+        body_crc = zlib.crc32(memoryview(data)[at : at + length])
+        if body_crc != crc:
+            raise StoreCorrupt(
+                f"{path}: CRC mismatch in section {name}, {length} bytes at byte offset {at}:"
+                f" header says {crc:#010x}, section has {body_crc:#010x}"
+            )
+        sections[name] = (at, length, itemsize)
+        offset = at + length
+    if offset != len(data):
+        raise StoreCorrupt(f"{path}: {len(data) - offset} bytes past the last section at byte offset {offset}")
+    return _File(path, data, sections, expected)
 
 
-def _read_triples(path: Path) -> Iterator[tuple[int, int, int]]:
-    """Records of ``adj`` or ``delta``; StoreCorrupt on a size mismatch."""
-    data = _read_file(path)
-    start = _HEADER.size + _U64.size
-    if len(data) < start:
-        raise StoreCorrupt(f"{path}: short read of the record count at byte offset {_HEADER.size}")
-    (n,) = _U64.unpack_from(data, _HEADER.size)
-    if len(data) - start != 24 * n:
+def _check_tables(f: _File, tables: tuple[TermTable, TermTable]) -> None:
+    """Parse the last token of each table: a layout mismatch fails here."""
+    for parity, table in zip(("even", "odd"), tables):
+        if len(table):
+            try:
+                parse_term(table.raw(len(table) - 1).decode("utf-8"))
+            except ValueError as exc:
+                raise f.fail(parity + "_tok", f"last token does not parse: {exc}") from None
+
+
+def _check_ids(f: _File, columns: Sequence[Sequence[int]], dictionary: Dictionary) -> None:
+    """StoreCorrupt naming the first id of the ``s``, ``p`` and ``o`` columns
+    that was never issued, or is a literal in subject or predicate position."""
+    evens, odds = dictionary.id_ranges()
+    for name, column in zip("spo", columns):
+        at, length, itemsize = f.sections[name]
+        # The low byte of each id gives its parity, so whole columns are
+        # checked without a Python-level loop.
+        low = f.data[at + (0 if _LITTLE else itemsize - 1) : at + length : itemsize]
+        odd = low.translate(_ODD)
+        if name == "o":
+            ok = max(compress(column, odd), default=0) < odds.stop
+        else:
+            ok = 1 not in odd
+        if ok and min(column, default=1) >= 1 and max(compress(column, odd.translate(_NOT)), default=0) < evens.stop:
+            continue
+        i, x = next((i, x) for i, x in enumerate(column) if x not in evens and (name != "o" or x not in odds))
         raise StoreCorrupt(
-            f"{path}: {n} records need {24 * n} bytes at byte offset {start},"
-            f" found {len(data) - start}"
+            f"{f.path}: section {name}: id {x} was never issued"
+            f"{'' if name == 'o' else ' as a non-literal'}, at byte offset {at + i * itemsize}"
         )
-    return struct.iter_unpack("<3Q", memoryview(data)[start:])
+
+
+def _columns(f: _File, n: int | None = None) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+    s, p, o = (f.ints(name) for name in "spo")
+    if n is None:
+        n = len(s)
+    for name, column in zip("spo", (s, p, o)):
+        if len(column) != n:
+            raise f.fail(name, f"{len(column)} ids, expected {n}")
+    return s, p, o
 
 
 def open_store(path: Path | str) -> Store:
     """Open an existing store directory; raises StoreCorrupt on any mismatch."""
     path = Path(path)
+    if not (path / "base").exists() and (path / "meta").exists():
+        # Stores before version 3 kept their load report in ``meta``.
+        _read_file(path / "meta", ())
+    base = _read_file(path / "base", _BASE_SECTIONS)
+    at, length, _ = base.sections["meta"]
     try:
-        meta = json.loads(_read_file(path / "meta")[_HEADER.size :])
-    except ValueError as exc:
-        raise StoreCorrupt(f"{path / 'meta'}: bad JSON payload: {exc}") from None
-    if not isinstance(meta, dict):
-        raise StoreCorrupt(f"{path / 'meta'}: payload is not a JSON object")
+        report = LoadReport(**json.loads(base.data[at : at + length]))
+    except (ValueError, TypeError) as exc:
+        raise base.fail("meta", f"not a load report: {exc}") from None
 
-    dictionary = Dictionary()
-    rev = _read_file(path / "dict_rev")
-    offset = _HEADER.size
-    try:
-        while offset < len(rev):
-            term_id, length = _REV_RECORD.unpack_from(rev, offset)
-            end = offset + _REV_RECORD.size + length
-            token = rev[offset + _REV_RECORD.size : end].decode("utf-8")
-            dictionary._restore(term_id, parse_term(token))
-            offset = end
-    except (struct.error, ValueError) as exc:
-        raise StoreCorrupt(f"{path / 'dict_rev'}: bad record at byte offset {offset}: {exc}") from None
-    if offset != len(rev):
-        raise StoreCorrupt(
-            f"{path / 'dict_rev'}: last record runs past the end of the file"
-            f" at byte offset {len(rev)}"
-        )
-
-    entries: Adjacency = {}
-    n_triples = 0
-    for s, p, o in _read_triples(path / "adj"):
-        entries.setdefault(s, []).append((p, o))
-        n_triples += 1
-    if meta.get("triples", n_triples) != n_triples:
-        raise StoreCorrupt(f"{path / 'meta'}: {meta['triples']} triples, but adj holds {n_triples}")
+    tables = (base.table("even"), base.table("odd"))
+    _check_tables(base, tables)
+    dictionary = Dictionary(tables, base.ints("by_token"))
+    if (report.distinct_terms, report.literals) != (len(dictionary), dictionary.literal_count()):
+        raise base.fail("meta", f"{report.distinct_terms} terms and {report.literals} literals,"
+                                f" but the term tables hold {len(dictionary)} and {dictionary.literal_count()}")
+    if len(base.ints("by_token")) != len(dictionary):
+        raise base.fail("by_token", f"{len(base.ints('by_token'))} ids, expected {len(dictionary)}")
+    rows = base.ints("rows")
+    s, p, o = _columns(base, report.triples)
+    if len(rows) != len(tables[0]) + 1 or rows[0] != 0 or rows[-1] != report.triples:
+        raise base.fail("rows", f"expected {len(tables[0]) + 1} row starts from 0 to {report.triples}")
+    _check_ids(base, (s, p, o), dictionary)
 
     delta: list[tuple[int, int, int]] = []
-    delta_path = path / "delta"
-    if delta_path.exists():
-        delta = list(_read_triples(delta_path))
-        for i, term_id in enumerate(x for t in delta for x in t):
-            if not dictionary.is_issued(term_id):
-                raise StoreCorrupt(
-                    f"{delta_path}: id {term_id} was never issued, at byte offset"
-                    f" {_HEADER.size + _U64.size + 8 * i}"
-                )
+    if (path / "delta").exists():
+        f = _read_file(path / "delta", _DELTA_SECTIONS)
+        recorded = list(f.ints("base"))
+        if recorded != [base.crc]:
+            raise f.fail("base", f"written for another base: it records {', '.join(map(hex, recorded))},"
+                                 f" base's section table has CRC {base.crc:#010x}")
+        minted = (f.table("even"), f.table("odd"))
+        _check_tables(f, minted)
+        for literal, table in enumerate(minted):
+            for i in range(len(table)):
+                try:
+                    dictionary.issue(table.raw(i).decode("utf-8"), bool(literal))
+                except UnicodeDecodeError as exc:
+                    raise f.fail(("even_tok", "odd_tok")[literal], f"token {i}: {exc}") from None
+        columns = _columns(f)
+        _check_ids(f, columns, dictionary)
+        delta = list(zip(*columns))
 
-    report = LoadReport(
-        triples=n_triples,
-        distinct_terms=meta.get("distinct_terms", len(dictionary)),
-        duplicates=meta.get("duplicates", 0),
-        literals=meta.get("literals", dictionary.literal_count()),
-    )
-    return Store(StoreConfig(path), dictionary, _sorted_adjacency(entries), report, delta=delta)
+    return Store(StoreConfig(path), dictionary, report, rows, s, p, o, delta=delta, base_crc=base.crc)

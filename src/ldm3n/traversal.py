@@ -1,6 +1,6 @@
 """Path semantics and shortest-path / reachability queries.
 
-Two traversal models run over the same subject-keyed adjacency index:
+Two traversal models run over the same subject-keyed row index:
 
 * triple-node model (``ldm3n``): expanding a node relaxes, for each stored
   pair (pred, obj) under it, the predicate at distance +1 and the object at

@@ -1,3 +1,4 @@
+import csv
 import struct
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from ldm3n import serialize_ntriples
 from ldm3n.cli import main
 
+import layout
 from conftest import EX, succession_triples
 
 
@@ -91,8 +93,8 @@ def test_usage_error_exits_two(loaded_store):
 
 
 def test_corrupt_store_exits_three(loaded_store, capsys):
-    adj = loaded_store / "adj"
-    adj.write_bytes(b"GARBAGE" + adj.read_bytes()[7:])
+    base = loaded_store / "base"
+    base.write_bytes(b"GARBAGE" + base.read_bytes()[7:])
     code = main([
         "spath", "--store", str(loaded_store), "--model", "ldm3n",
         "--source", f"<{EX}BillClinton>", "--target", f"<{EX}GeorgeWBush>",
@@ -230,13 +232,21 @@ def test_empty_materialize_and_reload_drop_the_old_delta(derived_store, capsys):
     assert stats_triples(store, capsys) == "triples,4"
 
 
+# Where each case cuts the store: in the middle of base's subject column or
+# of its term tokens, or 30 bytes into delta, inside its section table. The
+# case names are those of the version-2 files that held each part.
+CUTS = {"adj": ("base", "s"), "dict_rev": ("base", "even_tok"), "delta": ("delta", None)}
+
+
 @pytest.mark.parametrize("name", ["adj", "delta", "dict_rev"])
 def test_short_store_file_exits_three(derived_store, capsys, name):
     store, _ = derived_store
-    path = store / name
-    # 30 bytes cut the records after the 12-byte header and the 8-byte count;
-    # dict_rev loses the last 3 bytes of its last term.
-    size = path.stat().st_size - 3 if name == "dict_rev" else 30
+    file_name, section = CUTS[name]
+    path = store / file_name
+    size = 30
+    if section:
+        at, body, _ = layout.sections(path)[section]
+        size = at + len(body) // 2
     with open(path, "r+b") as f:
         f.truncate(size)
     code = main(["stats", "--store", str(store), "--with-derived"])
@@ -257,11 +267,11 @@ def test_materialize_leaves_adj_untouched(tmp_path, capsys):
     )
     store = tmp_path / "s"
     assert main(["load", "--store", str(store), "--input", str(nt)]) == 0
-    adj = (store / "adj").stat()
+    base = (store / "base").stat()
     assert main(["entail", "--store", str(store), "--materialize"]) == 0
     assert "# summary: derived=2" in capsys.readouterr().out
-    after = (store / "adj").stat()
-    assert (after.st_ino, after.st_mtime_ns, after.st_size) == (adj.st_ino, adj.st_mtime_ns, adj.st_size)
+    after = (store / "base").stat()
+    assert (after.st_ino, after.st_mtime_ns, after.st_size) == (base.st_ino, base.st_mtime_ns, base.st_size)
     assert stats_triples(store, capsys) == "triples,5"
 
 
@@ -319,3 +329,23 @@ def test_bench_unknown_term_exits_one(loaded_store, tmp_path, capsys):
     assert code == 1
     assert captured.err == f"error: pairs line 3: term not in store: <{EX}nobody>\n"
     assert captured.out == ""
+
+
+def test_bench_with_derived_matches_spath(derived_store, tmp_path, capsys):
+    store, _ = derived_store
+    names = ["a", "b", "c", "x", "y", "D"]
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("".join(f"{EX}{s},{EX}{t}\n" for s in names for t in names if s != t))
+    for model in ("ldm3n", "nlan"):
+        reports = []
+        for derived in ([], ["--with-derived"]):
+            argv = ["bench", "--store", str(store), "--mode", "spath", "--model", model, "--pairs", str(pairs)]
+            assert main(argv + derived) == 0
+            lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+            reports.append(list(csv.reader(lines))[1:])
+        assert len(reports[1]) == 30 and reports[0] != reports[1]
+        for row in reports[1]:
+            assert main(["spath", "--store", str(store), "--model", model, "--with-derived",
+                         "--source", row[0], "--target", row[1]]) == 0
+            # The bench row without its elapsed_ms column.
+            assert row[:6] + row[7:] == next(csv.reader([capsys.readouterr().out]))

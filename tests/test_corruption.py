@@ -7,6 +7,7 @@ turns the failure into exit code 3 with no traceback.
 """
 
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +19,12 @@ from ldm3n.semantics import RDFS_DOMAIN, StoreView, entail_fixpoint
 from ldm3n.storage import save_delta
 from ldm3n.traversal import shortest_path
 
+import layout
 from conftest import ex, succession_triples
 from oracles import labeled_arc_distances, triple_node_distances
 
 # The domain triple makes entailment type both singleton properties as
-# offices, which mints rdf:type and so grows dict_rev as well as the delta.
+# offices, which mints rdf:type, so the delta holds a term as well as triples.
 BASE = succession_triples() + [
     Triple(ex("hasSuccessor"), RDFS_DOMAIN, ex("Office")),
     Triple(ex("BillClinton"), ex("name"), Literal("Bill")),
@@ -122,14 +124,21 @@ def test_undamaged_store_answers_as_the_oracle(pristine):
     assert (expected["base"][key], expected["union"][key]) == (4, 3)
 
 
+# Each case damages the middle of one section: base's triple columns, term
+# tokens and load report, and delta's derived triples. The case names are
+# those of the version-2 files that held each part.
+PARTS = {"adj": ("base", "p"), "dict_rev": ("base", "even_tok"), "meta": ("base", "meta"), "delta": ("delta", "s")}
+
+
 @pytest.mark.parametrize("name", ["adj", "delta", "dict_rev", "meta"])
 @pytest.mark.parametrize("how", ["flip", "truncate"])
 def test_damaged_store_exits_three(pristine, capsys, name, how):
     files, _, work = pristine
-    middle = len(files[name]) // 2
-    damaged_copy(files, work, name, middle, 0x40 if how == "flip" else 0)
+    file_name, section = PARTS[name]
+    at, body, _ = layout.sections(Path(file_name), files[file_name])[section]
+    damaged_copy(files, work, file_name, at + len(body) // 2, 0x40 if how == "flip" else 0)
     code = main(["stats", "--store", str(work), "--with-derived"])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("error: ") and str(work / name) in err
+    assert err.startswith("error: ") and str(work / file_name) in err
     assert "Traceback" not in err

@@ -1,6 +1,6 @@
 import pytest
 
-from ldm3n import Dictionary, IRI, Literal, BlankNode, is_literal_id
+from ldm3n import Dictionary, IRI, Literal, BlankNode, format_term, is_literal_id
 from ldm3n.dictionary import MAX_ID
 from ldm3n.errors import CapacityExhausted, UnknownId
 
@@ -94,3 +94,22 @@ def test_capacity_exhaustion():
     d._next_even = MAX_ID + 1  # simulate an exhausted even counter
     with pytest.raises(CapacityExhausted):
         d.encode(IRI("http://overflow"))
+
+
+def test_token_is_the_formatted_term():
+    d = Dictionary()
+    lit = Literal('say "hi"\n', language="en")
+    term_id = d.encode(lit)
+    assert d.token(term_id) == format_term(lit) == '"say \\"hi\\"\\n"@en'
+    assert d.lookup(lit) == term_id and lit in d
+    with pytest.raises(UnknownId):
+        d.token(0)
+
+
+def test_ids_and_items_ascend_across_parities():
+    d = Dictionary()
+    terms = [IRI("http://a"), IRI("http://b"), IRI("http://c"), Literal("x")]
+    for t in terms:
+        d.encode(t)
+    assert list(d.ids()) == [1, 2, 4, 6]
+    assert list(d.items()) == [(1, Literal("x")), (2, terms[0]), (4, terms[1]), (6, terms[2])]

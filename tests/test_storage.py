@@ -1,14 +1,19 @@
+import os
 import random
+import re
+import shutil
 import struct
 import zlib
 
 import pytest
 
-from ldm3n import Literal, StoreConfig, Triple, create_store, open_store
+import layout
+from ldm3n import Literal, StoreConfig, Triple, cli, create_store, format_term, open_store, parse_term, storage
+from ldm3n.cli import main
 from ldm3n.errors import StoreCorrupt
-from ldm3n.storage import load_triples
+from ldm3n.storage import load_triples, save_delta
 
-from conftest import ex
+from conftest import EX, ex
 from oracles import random_triples
 
 
@@ -79,7 +84,7 @@ def test_pair_count_matches_brute_recount(make_store):
 def test_neighbor_order_is_sorted(make_store):
     rng = random.Random(11)
     store = make_store(random_triples(rng, 150))
-    for key in store.adjacency:
+    for key in store.dictionary.ids():
         pairs = store.neighbors(key)
         assert pairs == sorted(pairs)
     triples = list(store.iter_triples())
@@ -88,32 +93,42 @@ def test_neighbor_order_is_sorted(make_store):
 
 
 def test_durability_round_trip(tmp_path, succession_triples):
-    dictionary, adjacency, report = load_triples(StoreConfig(tmp_path / "dur"), succession_triples)
+    dictionary, report = load_triples(StoreConfig(tmp_path / "dur"), succession_triples)
     reopened = open_store(tmp_path / "dur")
     assert reopened.report == report
-    assert reopened.adjacency == adjacency
-    for key, pairs in adjacency.items():
-        assert reopened.neighbors(key) == pairs
+    encoded = sorted({tuple(dictionary.lookup(x) for x in (t.subject, t.predicate, t.object))
+                      for t in succession_triples})
+    assert list(reopened.iter_triples()) == encoded
+    for key in dictionary.ids():
+        assert reopened.neighbors(key) == [(p, o) for s, p, o in encoded if s == key]
     for term_id, term in dictionary.items():
         assert reopened.dictionary.decode(term_id) == term
         assert reopened.dictionary.lookup(term) == term_id
+        assert reopened.token(term_id) == format_term(term)
+    assert list(reopened.dictionary.ids()) == sorted(dictionary.ids())
 
 
 def test_store_files_exist_with_magic(tmp_path, succession_triples):
     path = tmp_path / "files"
     create_store(StoreConfig(path), succession_triples)
-    assert sorted(p.name for p in path.iterdir()) == ["adj", "dict_rev", "meta"]
-    for p in path.iterdir():
-        data = p.read_bytes()
-        magic, version, crc = struct.unpack_from("<6sHI", data)
-        assert (magic, version) == (b"LDM3N\0", 2), p.name
-        assert crc == zlib.crc32(data[12:]), p.name
+    assert sorted(p.name for p in path.iterdir()) == ["base"]
+    data = (path / "base").read_bytes()
+    magic, version, table_crc, count = layout.HEADER.unpack_from(data)
+    assert (magic, version, count) == (b"LDM3N\0", 3, 10)
+    assert table_crc == zlib.crc32(data[12 : 16 + 24 * count])
+    offset = 16 + 24 * count
+    for i in range(count):
+        at, length, itemsize, crc = layout.ENTRY.unpack_from(data, 16 + 24 * i)
+        assert at == offset and crc == zlib.crc32(data[at : at + length])
+        assert itemsize in (1, 4)
+        offset += length
+    assert offset == len(data)
 
 
 def test_corrupt_magic_detected(tmp_path, succession_triples):
     path = tmp_path / "bad"
     create_store(StoreConfig(path), succession_triples)
-    (path / "adj").write_bytes(b"XXXXXX" + (path / "adj").read_bytes()[6:])
+    (path / "base").write_bytes(b"XXXXXX" + (path / "base").read_bytes()[6:])
     with pytest.raises(StoreCorrupt):
         open_store(path)
 
@@ -121,7 +136,7 @@ def test_corrupt_magic_detected(tmp_path, succession_triples):
 def test_missing_file_detected(tmp_path, succession_triples):
     path = tmp_path / "missing"
     create_store(StoreConfig(path), succession_triples)
-    (path / "adj").unlink()
+    (path / "base").unlink()
     with pytest.raises(StoreCorrupt):
         open_store(path)
 
@@ -129,37 +144,239 @@ def test_missing_file_detected(tmp_path, succession_triples):
 def test_crc_mismatch_names_file_offset_and_crcs(tmp_path, succession_triples):
     path = tmp_path / "crc"
     create_store(StoreConfig(path), succession_triples)
-    adj = path / "adj"
-    data = bytearray(adj.read_bytes())
-    data[20] ^= 0x01  # low byte of the first subject id
-    adj.write_bytes(bytes(data))
+    base = path / "base"
+    at, body, _ = layout.sections(base)["s"]
+    data = bytearray(base.read_bytes())
+    data[at] ^= 0x01  # low byte of the first subject id
+    base.write_bytes(bytes(data))
     with pytest.raises(StoreCorrupt) as exc:
         open_store(path)
-    body = len(data) - 12
-    expected = f"{zlib.crc32(bytes(data[12:])):#010x}"
-    message = str(exc.value)
-    assert str(adj) in message
-    assert f"{body}-byte body at byte offset 12" in message
-    assert f"header says {struct.unpack_from('<I', data, 8)[0]:#010x}" in message
-    assert f"body has {expected}" in message
+    header_crc = layout.ENTRY.unpack_from(data, 16 + 24 * layout.NAMES["base"].index("s"))[3]
+    assert str(exc.value) == (
+        f"{base}: CRC mismatch in section s, {len(body)} bytes at byte offset {at}:"
+        f" header says {header_crc:#010x}, section has {zlib.crc32(bytes(data[at : at + len(body)])):#010x}"
+    )
 
 
-def write_delta(path, triples):
-    body = struct.pack("<Q", len(triples)) + b"".join(struct.pack("<3Q", *t) for t in triples)
-    (path / "delta").write_bytes(struct.pack("<6sHI", b"LDM3N\0", 2, zlib.crc32(body)) + body)
+def write_delta(store, triples):
+    """A delta whose CRCs hold, whatever ids it carries."""
+    save_delta(store, triples)
 
 
 def test_delta_with_unissued_id_is_rejected(tmp_path, succession_triples):
     path = tmp_path / "delta"
     store = create_store(StoreConfig(path), succession_triples)
     bc, h1 = ids_for(store, "BillClinton", "holdsPos#1")
-    write_delta(path, [(bc, h1, h1)])
+    write_delta(store, [(bc, h1, h1)])
     assert open_store(path).delta == [(bc, h1, h1)]
 
-    write_delta(path, [(bc, h1, h1), (h1, bc, 424242)])
+    write_delta(store, [(bc, h1, h1), (h1, bc, 424242)])
     with pytest.raises(StoreCorrupt) as exc:
         open_store(path)
-    # the sixth id, after the 12-byte header and the 8-byte count
-    assert str(exc.value) == (
-        f"{path / 'delta'}: id 424242 was never issued, at byte offset {12 + 8 + 5 * 8}"
-    )
+    # the second object id, 4 bytes into section o
+    at = layout.sections(path / "delta")["o"][0]
+    assert str(exc.value) == f"{path / 'delta'}: section o: id 424242 was never issued, at byte offset {at + 4}"
+
+
+def test_base_with_unissued_id_is_rejected(tmp_path, capsys):
+    path = tmp_path / "forged"
+    store = create_store(StoreConfig(path), [Triple(ex("a"), ex("p"), ex("b"))])
+    a, p = ids_for(store, "a", "p")
+    base = path / "base"
+    at = layout.sections(base)["o"][0]
+    layout.rewrite(base, o=(layout.pack([424242]), 4))
+    with pytest.raises(StoreCorrupt) as exc:
+        open_store(path)
+    assert str(exc.value) == f"{base}: section o: id 424242 was never issued, at byte offset {at}"
+    code = main(["spath", "--store", str(path), "--model", "nlan", "--source", f"<{EX}a>", "--target", f"<{EX}b>"])
+    assert code == 3 and "id 424242 was never issued" in capsys.readouterr().err
+
+
+def test_literal_subject_is_rejected(tmp_path):
+    path = tmp_path / "forged"
+    store = create_store(StoreConfig(path), [Triple(ex("a"), ex("p"), Literal("v"))])
+    a, p, v = ids_for(store, "a", "p") + [store.resolve(Literal("v"))]
+    save_delta(store, [(a, p, a), (v, p, a)])
+    with pytest.raises(StoreCorrupt, match="delta: section s: id 1 was never issued as a non-literal"):
+        open_store(path)
+
+
+def test_delta_for_another_base_is_rejected(tmp_path, succession_triples):
+    path = tmp_path / "s"
+    store = create_store(StoreConfig(path), succession_triples)
+    bc, h1 = ids_for(store, "BillClinton", "holdsPos#1")
+    save_delta(store, [(bc, h1, h1)])
+    delta = (path / "delta").read_bytes()
+    create_store(StoreConfig(path), succession_triples[:5])
+    (path / "delta").write_bytes(delta)
+    with pytest.raises(StoreCorrupt, match="written for another base"):
+        open_store(path)
+
+
+def test_columns_take_eight_bytes_only_when_a_value_needs_them(tmp_path, succession_triples):
+    assert [storage._int_section(v)[1] for v in ([], [2**32 - 1], [2**32])] == [4, 4, 8]
+    path = tmp_path / "wide"
+    store = create_store(StoreConfig(path), succession_triples)
+    triples = list(store.iter_triples())
+    base = path / "base"
+    wide = {name: (layout.pack(layout.ints(body, 4), 8), 8)
+            for name, (_, body, itemsize) in layout.sections(base).items() if itemsize == 4}
+    layout.rewrite(base, **wide)
+    reopened = open_store(path)
+    assert list(reopened.iter_triples()) == triples
+    assert reopened.resolve(ex("GeorgeWBush")) == store.resolve(ex("GeorgeWBush"))
+    assert [reopened.neighbors(n) for n in range(22)] == [store.neighbors(n) for n in range(22)]
+
+
+def test_big_endian_path_round_trips(tmp_path, monkeypatch, succession_triples):
+    """The byte-swapping reader and writer, run on this host as if it were big-endian."""
+    store = create_store(StoreConfig(tmp_path / "le"), succession_triples)
+    monkeypatch.setattr(storage, "_LITTLE", False)
+    swapped = create_store(StoreConfig(tmp_path / "be"), succession_triples)
+    bc, h1 = ids_for(swapped, "BillClinton", "holdsPos#1")
+    save_delta(swapped, [(bc, h1, h1)])
+    swapped = open_store(tmp_path / "be")
+    assert list(swapped.iter_triples()) == list(store.iter_triples())
+    assert [swapped.neighbors(n) for n in range(22)] == [store.neighbors(n) for n in range(22)]
+    assert swapped.delta == [(bc, h1, h1)]
+    _, body, itemsize = layout.sections(tmp_path / "be" / "base")["o"]
+    assert layout.ints(body, itemsize) != list(store.o)  # the columns were swapped on disk
+
+
+def test_version_two_store_is_rejected(tmp_path, capsys):
+    path = tmp_path / "v2"
+    path.mkdir()
+    for name in ("dict_rev", "adj", "meta"):
+        (path / name).write_bytes(struct.pack("<6sHI", b"LDM3N\0", 2, zlib.crc32(b"")))
+    with pytest.raises(StoreCorrupt, match="unsupported format version 2"):
+        open_store(path)
+    assert main(["stats", "--store", str(path)]) == 3
+    assert "unsupported format version 2" in capsys.readouterr().err
+
+
+def test_malformed_token_fails_on_decode(tmp_path, succession_triples, capsys):
+    path = tmp_path / "tok"
+    store = create_store(StoreConfig(path), succession_triples)
+    h1 = store.resolve(ex("holdsPos#1"))
+    base = path / "base"
+    _, tokens, _ = layout.sections(base)["even_tok"]
+    # Same length and the same sort position; the IRI loses its closing '>'.
+    good = f"<{EX}holdsPos#1>".encode()
+    layout.rewrite(base, even_tok=(tokens.replace(good, good[:-1] + b" "), 1))
+    reopened = open_store(path)
+    with pytest.raises(StoreCorrupt) as exc:
+        reopened.decode(h1)
+    assert str(exc.value).startswith(f"{base}: section even_tok: bad token of id {h1}: unterminated IRI")
+    code = main(["spath", "--store", str(path), "--model", "ldm3n",
+                 "--source", f"<{EX}BillClinton>", "--target", f"<{EX}GeorgeWBush>"])
+    err = capsys.readouterr().err
+    assert code == 3 and f"bad token of id {h1}" in err and "Traceback" not in err
+
+
+def test_open_and_spath_parse_only_what_they_need(tmp_path, succession_triples, monkeypatch, capsys):
+    path = tmp_path / "lazy"
+    create_store(StoreConfig(path), succession_triples + [Triple(ex("BillClinton"), ex("name"), Literal("Bill"))])
+    calls = []
+
+    def counted(token):
+        calls.append(token)
+        return parse_term(token)
+
+    monkeypatch.setattr(storage, "parse_term", counted)
+    monkeypatch.setattr(cli, "parse_term", counted)
+    open_store(path)
+    assert len(calls) == 2  # the last token of each term table
+    calls.clear()
+    assert main(["spath", "--store", str(path), "--model", "ldm3n",
+                 "--source", f"<{EX}BillClinton>", "--target", f"<{EX}GeorgeWBush>"]) == 0
+    path_terms = re.findall(r"<[^>]*>", capsys.readouterr().out.strip().split(",")[-1])
+    assert len(path_terms) == 4
+    assert len(calls) == 2 + 2 + len(path_terms)
+    # The store opens first, then the two arguments, then the path's terms.
+    assert calls[2:4] == [f"<{EX}BillClinton>", f"<{EX}GeorgeWBush>"]
+    assert calls[4:] == path_terms
+
+
+def crash_at(monkeypatch, step: int) -> None:
+    """Make the ``step``-th write, rename or unlink done by ldm3n.storage
+    raise OSError; a failing write first writes half of its bytes."""
+    done = 0
+
+    def tick() -> None:
+        nonlocal done
+        done += 1
+        if done == step:
+            raise OSError(f"injected failure at step {step}")
+
+    class File:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            tick()
+            self.f.write(data[len(data) // 2 :])
+
+    real_open, real_replace, real_unlink = open, os.replace, os.unlink
+    monkeypatch.setattr(storage, "open", lambda *a, **k: File(real_open(*a, **k)), raising=False)
+    monkeypatch.setattr(os, "replace", lambda *a: (tick(), real_replace(*a))[1])
+    monkeypatch.setattr(os, "unlink", lambda *a: (tick(), real_unlink(*a))[1])
+
+
+def contents(path):
+    """The stored and derived triples as tokens, or "corrupt"."""
+    try:
+        store = open_store(path)
+    except StoreCorrupt:
+        return "corrupt"
+    tokens = lambda triples: sorted(tuple(store.token(x) for x in t) for t in triples)
+    return tokens(store.iter_triples()), tokens(store.delta)
+
+
+@pytest.mark.parametrize("write", ["load", "save_delta", "empty_delta"])
+def test_failed_write_never_leaves_mixed_contents(tmp_path, monkeypatch, succession_triples, write):
+    pristine = tmp_path / "pristine"
+    store = create_store(StoreConfig(pristine), succession_triples)
+    bc, h1, gwb = ids_for(store, "BillClinton", "holdsPos#1", "GeorgeWBush")
+    save_delta(store, [(bc, h1, gwb)])
+    old = contents(pristine)
+    base_only = (old[0], [])
+
+    def run(path):
+        if write == "load":
+            load_triples(StoreConfig(path), succession_triples[:4] + [Triple(ex("x"), ex("p"), Literal("y"))])
+            return
+        reopened = open_store(path)
+        minted = reopened.dictionary.encode(ex("minted"))
+        save_delta(reopened, [] if write == "empty_delta" else [(bc, h1, minted), (h1, bc, gwb)])
+
+    new_path = tmp_path / "new"
+    shutil.copytree(pristine, new_path)
+    run(new_path)
+    new = contents(new_path)
+    assert new not in (old, "corrupt")
+    allowed = {"load": [old, base_only, new], "save_delta": [old, new], "empty_delta": [old, new]}[write]
+
+    outcomes = []
+    for step in range(1, 100):
+        path = tmp_path / f"crash{step}"
+        shutil.copytree(pristine, path)
+        with monkeypatch.context() as m:
+            crash_at(m, step)
+            try:
+                run(path)
+            except OSError as exc:
+                assert str(exc) == f"injected failure at step {step}"
+            else:
+                break
+        outcomes.append(contents(path))
+        assert outcomes[-1] in allowed, step
+        assert not [p.name for p in path.iterdir() if p.name.endswith(".tmp")]
+    assert contents(path) == new
+    assert outcomes and outcomes[0] == old
