@@ -19,14 +19,16 @@ offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
             s, p, o                 derived triples, in derivation order
 
 Integer sections are little-endian with itemsize 4, or 8 when a value needs
-it. Opening a store checks every CRC and that every stored id was issued,
-then takes views of the bytes: no term is parsed until it is decoded. The
-initial/terminal edge pair of each triple is implicit in its row, so the
-same rows serve both traversal models. Loading dedups exact
-duplicates (set semantics), and each row is sorted by (pred, obj) so every
-downstream answer is deterministic. Both files are written to a temporary
-name and then renamed into place; ``base`` is never rewritten. After load
-the store is read-only and safe to share across concurrent query workers.
+it. Opening a store checks every CRC and that every id of ``by_token``,
+``s``, ``p`` and ``o`` was issued (and, in ``base``, that no subject or
+predicate is a literal), then takes views of the bytes: no term is parsed
+until it is decoded. The initial/terminal edge pair of each triple is
+implicit in its row, so the same rows serve both traversal models. Loading
+dedups exact duplicates (set semantics), and each row is sorted by
+(pred, obj) so every downstream answer is deterministic. Both files are
+written to a temporary name and then renamed into place; ``base`` is never
+rewritten. After load the store is read-only and safe to share across
+concurrent query workers.
 """
 
 from __future__ import annotations
@@ -377,27 +379,26 @@ def _check_tables(f: _File, tables: tuple[TermTable, TermTable]) -> None:
                 raise f.fail(parity + "_tok", f"last token does not parse: {exc}") from None
 
 
-def _check_ids(f: _File, columns: Sequence[Sequence[int]], dictionary: Dictionary) -> None:
-    """StoreCorrupt naming the first id of the ``s``, ``p`` and ``o`` columns
-    that was never issued, or is a literal in subject or predicate position."""
+def _check_ids(f: _File, name: str, column: Sequence[int], dictionary: Dictionary, literals: bool = True) -> None:
+    """StoreCorrupt naming the first id of section ``name`` that was never
+    issued, or, unless ``literals``, is a literal."""
     evens, odds = dictionary.id_ranges()
-    for name, column in zip("spo", columns):
-        at, length, itemsize = f.sections[name]
-        # The low byte of each id gives its parity, so whole columns are
-        # checked without a Python-level loop.
-        low = f.data[at + (0 if _LITTLE else itemsize - 1) : at + length : itemsize]
-        odd = low.translate(_ODD)
-        if name == "o":
-            ok = max(compress(column, odd), default=0) < odds.stop
-        else:
-            ok = 1 not in odd
-        if ok and min(column, default=1) >= 1 and max(compress(column, odd.translate(_NOT)), default=0) < evens.stop:
-            continue
-        i, x = next((i, x) for i, x in enumerate(column) if x not in evens and (name != "o" or x not in odds))
-        raise StoreCorrupt(
-            f"{f.path}: section {name}: id {x} was never issued"
-            f"{'' if name == 'o' else ' as a non-literal'}, at byte offset {at + i * itemsize}"
-        )
+    itemsize = f.sections[name][2]
+    # The low byte of each id gives its parity, so whole columns are
+    # checked without a Python-level loop. The column holds native integers.
+    low = column.tobytes()[0 if sys.byteorder == "little" else itemsize - 1 :: itemsize]
+    odd = low.translate(_ODD)
+    if literals:
+        ok = max(compress(column, odd), default=0) < odds.stop
+    else:
+        ok = 1 not in odd
+    if ok and min(column, default=1) >= 1 and max(compress(column, odd.translate(_NOT)), default=0) < evens.stop:
+        return
+    i, x = next((i, x) for i, x in enumerate(column) if x not in evens and (not literals or x not in odds))
+    raise StoreCorrupt(
+        f"{f.path}: section {name}: id {x} was never issued"
+        f"{'' if literals else ' as a non-literal'}, at byte offset {f.sections[name][0] + i * itemsize}"
+    )
 
 
 def _columns(f: _File, n: int | None = None) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
@@ -425,17 +426,23 @@ def open_store(path: Path | str) -> Store:
 
     tables = (base.table("even"), base.table("odd"))
     _check_tables(base, tables)
-    dictionary = Dictionary(tables, base.ints("by_token"))
+    by_token = base.ints("by_token")
+    dictionary = Dictionary(tables, by_token)
     if (report.distinct_terms, report.literals) != (len(dictionary), dictionary.literal_count()):
         raise base.fail("meta", f"{report.distinct_terms} terms and {report.literals} literals,"
                                 f" but the term tables hold {len(dictionary)} and {dictionary.literal_count()}")
-    if len(base.ints("by_token")) != len(dictionary):
-        raise base.fail("by_token", f"{len(base.ints('by_token'))} ids, expected {len(dictionary)}")
+    if len(by_token) != len(dictionary):
+        raise base.fail("by_token", f"{len(by_token)} ids, expected {len(dictionary)}")
+    _check_ids(base, "by_token", by_token, dictionary)
     rows = base.ints("rows")
     s, p, o = _columns(base, report.triples)
     if len(rows) != len(tables[0]) + 1 or rows[0] != 0 or rows[-1] != report.triples:
         raise base.fail("rows", f"expected {len(tables[0]) + 1} row starts from 0 to {report.triples}")
-    _check_ids(base, (s, p, o), dictionary)
+    # Base triples come from Triple, whose subject and predicate are never
+    # literals; derived ones may have a literal anywhere (RANGE over a
+    # literal-valued property gives a literal subject).
+    for name, column in zip("spo", (s, p, o)):
+        _check_ids(base, name, column, dictionary, literals=name == "o")
 
     delta: list[tuple[int, int, int]] = []
     if (path / "delta").exists():
@@ -453,7 +460,8 @@ def open_store(path: Path | str) -> Store:
                 except UnicodeDecodeError as exc:
                     raise f.fail(("even_tok", "odd_tok")[literal], f"token {i}: {exc}") from None
         columns = _columns(f)
-        _check_ids(f, columns, dictionary)
+        for name, column in zip("spo", columns):
+            _check_ids(f, name, column, dictionary)
         delta = list(zip(*columns))
 
     return Store(StoreConfig(path), dictionary, report, rows, s, p, o, delta=delta, base_crc=base.crc)

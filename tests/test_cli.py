@@ -217,6 +217,30 @@ def stats_triples(store, capsys) -> str:
     return next(line for line in capsys.readouterr().out.splitlines() if line.startswith("triples,"))
 
 
+def test_materialized_range_over_a_literal_is_queryable(tmp_path, capsys):
+    """RANGE derives ("Bill", rdf:type, xsd:string), a triple whose subject is
+    a literal, and RDFS9 spreads it; the materialized store still answers."""
+    xsd = "http://www.w3.org/2001/XMLSchema#string"
+    nt = tmp_path / "range.nt"
+    nt.write_text(
+        f"<{EX}name> <{RDFS}range> <{xsd}> .\n"
+        f"<{xsd}> <{RDFS}subClassOf> <{EX}Text> .\n"
+        f"<{EX}a> <{EX}name> \"Bill\" .\n",
+        encoding="utf-8",
+    )
+    store = tmp_path / "s"
+    assert main(["load", "--store", str(store), "--input", str(nt)]) == 0
+    assert main(["entail", "--store", str(store), "--materialize"]) == 0
+    assert "# summary: derived=2" in capsys.readouterr().out
+    assert stats_triples(store, capsys) == "triples,5"
+    code = main(["spath", "--store", str(store), "--model", "nlan", "--with-derived",
+                 "--source", f"<{EX}a>", "--target", f"<{EX}Text>"])
+    captured = capsys.readouterr()
+    # Literals are sinks, so the walk does not go on from "Bill".
+    assert (code, captured.err) == (0, "")
+    assert captured.out.split(",")[3] == "unreachable"
+
+
 def test_empty_materialize_and_reload_drop_the_old_delta(derived_store, capsys):
     store, nt = derived_store
     assert stats_triples(store, capsys) == "triples,8"

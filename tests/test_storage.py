@@ -158,19 +158,15 @@ def test_crc_mismatch_names_file_offset_and_crcs(tmp_path, succession_triples):
     )
 
 
-def write_delta(store, triples):
-    """A delta whose CRCs hold, whatever ids it carries."""
-    save_delta(store, triples)
-
-
 def test_delta_with_unissued_id_is_rejected(tmp_path, succession_triples):
     path = tmp_path / "delta"
     store = create_store(StoreConfig(path), succession_triples)
     bc, h1 = ids_for(store, "BillClinton", "holdsPos#1")
-    write_delta(store, [(bc, h1, h1)])
+    save_delta(store, [(bc, h1, h1)])
     assert open_store(path).delta == [(bc, h1, h1)]
 
-    write_delta(store, [(bc, h1, h1), (h1, bc, 424242)])
+    # save_delta writes a delta whose CRCs hold, whatever ids it carries.
+    save_delta(store, [(bc, h1, h1), (h1, bc, 424242)])
     with pytest.raises(StoreCorrupt) as exc:
         open_store(path)
     # the second object id, 4 bytes into section o
@@ -192,13 +188,45 @@ def test_base_with_unissued_id_is_rejected(tmp_path, capsys):
     assert code == 3 and "id 424242 was never issued" in capsys.readouterr().err
 
 
-def test_literal_subject_is_rejected(tmp_path):
+def test_literal_subject_in_base_is_rejected(tmp_path):
     path = tmp_path / "forged"
     store = create_store(StoreConfig(path), [Triple(ex("a"), ex("p"), Literal("v"))])
-    a, p, v = ids_for(store, "a", "p") + [store.resolve(Literal("v"))]
-    save_delta(store, [(a, p, a), (v, p, a)])
-    with pytest.raises(StoreCorrupt, match="delta: section s: id 1 was never issued as a non-literal"):
+    v = store.resolve(Literal("v"))
+    base = path / "base"
+    at = layout.sections(base)["s"][0]
+    layout.rewrite(base, s=(layout.pack([v]), 4))
+    with pytest.raises(StoreCorrupt) as exc:
         open_store(path)
+    assert str(exc.value) == f"{base}: section s: id {v} was never issued as a non-literal, at byte offset {at}"
+
+
+def test_delta_may_hold_literals_anywhere(tmp_path):
+    """Entailment derives triples with a literal subject (RANGE over a
+    literal-valued property) or predicate (RDFS7 under a literal)."""
+    path = tmp_path / "lit"
+    store = create_store(StoreConfig(path), [Triple(ex("a"), ex("p"), Literal("v"))])
+    a, p, v = ids_for(store, "a", "p") + [store.resolve(Literal("v"))]
+    save_delta(store, [(v, p, a), (a, v, a)])
+    reopened = open_store(path)
+    assert reopened.delta == [(v, p, a), (a, v, a)]
+    assert list(reopened.iter_triples()) == [(a, p, v)]
+
+
+def test_by_token_with_unissued_id_is_rejected(tmp_path, succession_triples, capsys):
+    path = tmp_path / "forged"
+    create_store(StoreConfig(path), succession_triples)
+    base = path / "base"
+    at, body, itemsize = layout.sections(base)["by_token"]
+    ids = layout.ints(body, itemsize)
+    layout.rewrite(base, by_token=(layout.pack(ids[:-1] + [424242]), 4))
+    with pytest.raises(StoreCorrupt) as exc:
+        open_store(path)
+    offset = at + (len(ids) - 1) * 4
+    assert str(exc.value) == f"{base}: section by_token: id 424242 was never issued, at byte offset {offset}"
+    code = main(["spath", "--store", str(path), "--model", "nlan",
+                 "--source", f"<{EX}BillClinton>", "--target", f"<{EX}GeorgeWBush>"])
+    err = capsys.readouterr().err
+    assert code == 3 and "id 424242 was never issued" in err and "Traceback" not in err
 
 
 def test_delta_for_another_base_is_rejected(tmp_path, succession_triples):
