@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import merge
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapacityExhausted, UnknownId
 from .terms import Literal, Term, format_term, parse_term
@@ -51,6 +51,20 @@ class TermTable:
         return self.data[at + self.offsets[i] : at + self.offsets[i + 1]]
 
 
+def _token_key(tables: tuple[TermTable, TermTable]) -> Callable[[int], bytes]:
+    """The token bytes of a table id, in one Python call: the key that
+    lookups bisect ``by_token`` with."""
+    (even_off, even_data, even_at), (odd_off, odd_data, odd_at) = ((t.offsets, t.data, t.at) for t in tables)
+
+    def key(term_id: int) -> bytes:
+        i = term_id >> 1
+        if term_id & 1:
+            return odd_data[odd_at + odd_off[i] : odd_at + odd_off[i + 1]]
+        return even_data[even_at + even_off[i - 1] : even_at + even_off[i]]
+
+    return key
+
+
 class Dictionary:
     """Exact two-way map between terms and dense parity-typed integer ids.
 
@@ -65,6 +79,7 @@ class Dictionary:
         self._tables = tables or (TermTable(), TermTable())
         self._sizes = (len(self._tables[0]), len(self._tables[1]))
         self._by_token = by_token
+        self._key = _token_key(self._tables)
         self._added: dict[str, int] = {}
         self._added_tokens: tuple[list[str], list[str]] = ([], [])
         self._next_even = 2 * self._sizes[0] + 2
@@ -126,13 +141,10 @@ class Dictionary:
         if found is None and self._by_token:
             key = token.encode("utf-8")
             by_token = self._by_token
-            i = bisect_left(by_token, key, key=self._raw)
-            if i < len(by_token) and self._raw(by_token[i]) == key:
+            i = bisect_left(by_token, key, key=self._key)
+            if i < len(by_token) and self._key(by_token[i]) == key:
                 found = by_token[i]
         return found
-
-    def _raw(self, term_id: int) -> bytes:
-        return self._tables[term_id & 1].raw(id_index(term_id))
 
     def in_table(self, term_id: int) -> bool:
         """True iff an issued id's token lives in the tables, not in memory."""
@@ -156,6 +168,10 @@ class Dictionary:
     def added(self) -> tuple[list[str], list[str]]:
         """Tokens issued after the tables, even ids then odd ids, each in id order."""
         return self._added_tokens
+
+    def added_ids(self) -> dict[str, int]:
+        """Token -> id of the terms issued after the tables; read-only."""
+        return self._added
 
     def literal_count(self) -> int:
         return (self._next_odd - 1) // 2

@@ -8,6 +8,11 @@ Subjects may also be blank nodes. Comment lines (``#``) and blank lines are
 skipped; a comment may follow the terminating dot. Prefixed names are not
 supported.
 
+``parse_ntriples`` yields each statement as three canonical N-Triples
+tokens, the form ``format_term`` prints and the dictionary and the store key
+on; it builds no term objects for a line already in that form. Any other
+line is parsed into terms, checked, and formatted back into tokens.
+
 The parser runs in one of two modes: strict (raise MalformedLine on the
 first bad statement) or lenient (skip bad statements, recording each one
 in an error sink so callers can count and report them).
@@ -20,16 +25,30 @@ import re
 from typing import IO, Iterable, Iterator
 
 from .errors import MalformedLine
-from .terms import BlankNode, IRI, Literal, Triple, unescape_string, format_term
+from .terms import _IRI_FORBIDDEN_CHARS, BlankNode, IRI, Literal, Triple, unescape_string, format_term
 
 _IRI = r"<([^<>\x00-\x20]*)>"
 _BNODE = r"_:(\S+)"
-_LIT = r'"((?:[^"\\]|\\.)*)"(?:\^\^<([^<>\x00-\x20]*)>|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?'
+_TAG = rf"(?:\^\^{_IRI}|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?"
+_LIT = rf'"((?:[^"\\]|\\.)*)"{_TAG}'
 
 _STATEMENT = re.compile(
     rf"^\s*(?:{_IRI}|{_BNODE})"  # subject: groups 1 (iri) / 2 (bnode)
     rf"\s+{_IRI}"  # predicate: group 3
     rf"\s+(?:{_IRI}|{_BNODE}|{_LIT})"  # object: groups 4/5/6,7,8
+    r"\s*\.\s*(?:#.*)?$"
+)
+
+# A line this matches is already canonical: groups 1 to 3 are the tokens
+# format_term prints for the terms _parse_statement builds from the line.
+# Its IRIs are non-empty and hold nothing IRI forbids, and its lexical forms
+# hold no quote, backslash or control character for escape_string to
+# rewrite. Each token spans what _STATEMENT's group for it spans.
+_CANONICAL_IRI = f"<[^{_IRI_FORBIDDEN_CHARS}]+>"
+_CANONICAL = re.compile(
+    rf"^\s*({_CANONICAL_IRI}|_:\S+)"
+    rf"\s+({_CANONICAL_IRI})"
+    rf'\s+({_CANONICAL_IRI}|_:\S+|"[^"\\\x00-\x1f]*"{_TAG})'
     r"\s*\.\s*(?:#.*)?$"
 )
 
@@ -49,23 +68,32 @@ def parse_ntriples(
     source: IO | bytes | str | Iterable[str],
     strict: bool = True,
     errors: list[MalformedLine] | None = None,
-) -> Iterator[Triple]:
-    """Yield triples from N-Triples text, in file order, duplicates included.
+) -> Iterator[tuple[str, str, str]]:
+    """Yield (subject, predicate, object) token triples from N-Triples text,
+    in file order, duplicates included.
 
-    In strict mode the first malformed statement raises MalformedLine; in
+    Each token is canonical: what ``format_term`` prints for its term. In
+    strict mode the first malformed statement raises MalformedLine; in
     lenient mode it is skipped and appended to ``errors`` (when given).
     """
+    canonical = _CANONICAL.match
     for lineno, raw in enumerate(_lines(source), start=1):
         line = raw.strip()
+        m = canonical(line)
+        if m is not None:
+            yield m.group(1, 2, 3)
+            continue
         if not line or line.startswith("#"):
             continue
         try:
-            yield _parse_statement(line, lineno)
+            t = _parse_statement(line, lineno)
         except MalformedLine as exc:
             if strict:
                 raise
             if errors is not None:
                 errors.append(exc)
+            continue
+        yield format_term(t.subject), format_term(t.predicate), format_term(t.object)
 
 
 def _parse_statement(line: str, lineno: int) -> Triple:

@@ -19,16 +19,17 @@ offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
             s, p, o                 derived triples, in derivation order
 
 Integer sections are little-endian with itemsize 4, or 8 when a value needs
-it. Opening a store checks every CRC and that every id of ``by_token``,
-``s``, ``p`` and ``o`` was issued (and, in ``base``, that no subject or
-predicate is a literal), then takes views of the bytes: no term is parsed
-until it is decoded. The initial/terminal edge pair of each triple is
-implicit in its row, so the same rows serve both traversal models. Loading
-dedups exact duplicates (set semantics), and each row is sorted by
-(pred, obj) so every downstream answer is deterministic. Both files are
-written to a temporary name and then renamed into place; ``base`` is never
-rewritten. After load the store is read-only and safe to share across
-concurrent query workers.
+it. Opening a store checks every CRC, that ``rows`` never decreases and that
+every id of ``by_token``, ``s``, ``p`` and ``o`` was issued (and, in
+``base``, that no subject or predicate is a literal), then takes views of
+the bytes: no term is parsed until it is decoded. The initial/terminal edge
+pair of each triple is implicit in its row, so the same rows serve both
+traversal models. Loading dedups exact duplicates (set semantics), and
+each row is sorted by (pred, obj) so every downstream answer is
+deterministic. Both files are written to a temporary name, synced to disk
+and then renamed into place, and the directory is synced after each rename
+and unlink; ``base`` is never rewritten. After load the store is read-only
+and safe to share across concurrent query workers.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, compress
+from operator import le
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -168,27 +170,31 @@ class Store:
         return term_id
 
 
-def load_triples(config: StoreConfig, triples: Iterable[Triple]) -> tuple[Dictionary, LoadReport]:
-    """Encode, dedup, index, and persist a triple sequence as ``base``.
+def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -> tuple[Dictionary, LoadReport]:
+    """Encode, dedup, index, and persist a sequence of token triples as ``base``.
 
-    Every distinct input triple is stored exactly once; exact duplicates
-    are counted in the report. An old ``delta`` is removed.
+    Each triple is three canonical N-Triples tokens, as ``parse_ntriples``
+    yields them and ``format_term`` prints them; a token is a literal iff it
+    starts with ``"``. Every distinct input triple is stored exactly once;
+    exact duplicates are counted in the report. An old ``delta`` is removed.
     """
     dictionary = Dictionary()
-    encode = dictionary.encode
+    ids = dictionary.added_ids()
+    get, issue = ids.get, dictionary.issue
     seen: set[tuple[int, int, int]] = set()
+    add = seen.add
     total = 0
-    for t in triples:
-        seen.add((encode(t.subject), encode(t.predicate), encode(t.object)))
+    for s, p, o in triples:
+        # Ids start at 1, so a found id is never falsy.
+        add((get(s) or issue(s, s[0] == '"'),
+             get(p) or issue(p, p[0] == '"'),
+             get(o) or issue(o, o[0] == '"')))
         total += 1
     report = LoadReport(len(seen), len(dictionary), total - len(seen), dictionary.literal_count())
 
-    even, odd = dictionary.added()
-    tokens = even + odd
-    ids = [*range(2, 2 * len(even) + 2, 2), *range(1, 2 * len(odd), 2)]
     # Code point order is the UTF-8 byte order that lookups bisect in.
-    by_token = [ids[i] for i in sorted(range(len(tokens)), key=tokens.__getitem__)]
-    del tokens, ids  # not held while the sections are built
+    by_token = list(map(ids.__getitem__, sorted(ids)))
+    even, odd = dictionary.added()
     rows = [0] * (len(even) + 1)
     s, p, o = zip(*sorted(seen)) if seen else ((), (), ())
     for subject in s:
@@ -207,13 +213,14 @@ def load_triples(config: StoreConfig, triples: Iterable[Triple]) -> tuple[Dictio
     # The old delta goes first: a crash between the two steps leaves the
     # old base without derivations, never a delta beside a base it was not
     # derived from.
-    _remove(config.path / "delta")
+    if _remove(config.path / "delta"):
+        _sync_dir(config.path)
     _write_file(config.path / "base", sections)
     return dictionary, report
 
 
 def create_store(config: StoreConfig, triples: Iterable[Triple]) -> Store:
-    load_triples(config, triples)
+    load_triples(config, ((format_term(t.subject), format_term(t.predicate), format_term(t.object)) for t in triples))
     return open_store(config.path)
 
 
@@ -226,7 +233,8 @@ def save_delta(store: Store, delta: list[tuple[int, int, int]]) -> None:
     path = store.config.path / "delta"
     if not store.delta:
         # An old delta would otherwise outlive the derivations it held.
-        _remove(path)
+        if _remove(path):
+            _sync_dir(path.parent)
         return
     even, odd = store.dictionary.added()
     s, p, o = zip(*store.delta)
@@ -259,7 +267,8 @@ def _term_sections(tokens: list[str]) -> list[Section]:
 
 def _write_file(path: Path, sections: list[Section]) -> None:
     """Write a header, the section table and the sections to a temporary
-    file, then rename it to ``path``."""
+    file, make it durable, then rename it to ``path`` and make the rename
+    durable."""
     offset = _HEADER.size + _ENTRY.size * len(sections)
     entries = []
     for body, itemsize in sections:
@@ -273,17 +282,33 @@ def _write_file(path: Path, sections: list[Section]) -> None:
             f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, crc, len(sections)) + table)
             for body, _ in sections:
                 f.write(body)
+            # Otherwise a rename that survives a power loss may name a
+            # file whose bytes did not.
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         _remove(tmp)
         raise
+    _sync_dir(path.parent)
 
 
-def _remove(path: Path) -> None:
+def _sync_dir(path: Path) -> None:
+    """Make the renames and unlinks done in directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _remove(path: Path) -> bool:
+    """Unlink ``path``; False if it did not exist."""
     try:
         os.unlink(path)
     except FileNotFoundError:
-        pass
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -438,9 +463,16 @@ def open_store(path: Path | str) -> Store:
     s, p, o = _columns(base, report.triples)
     if len(rows) != len(tables[0]) + 1 or rows[0] != 0 or rows[-1] != report.triples:
         raise base.fail("rows", f"expected {len(tables[0]) + 1} row starts from 0 to {report.triples}")
-    # Base triples come from Triple, whose subject and predicate are never
-    # literals; derived ones may have a literal anywhere (RANGE over a
-    # literal-valued property gives a literal subject).
+    if not all(map(le, rows, rows[1:])):
+        # A row would otherwise hold other subjects' triples, or end past
+        # the columns.
+        at, _, itemsize = base.sections["rows"]
+        i = next(i for i in range(1, len(rows)) if rows[i] < rows[i - 1])
+        raise StoreCorrupt(f"{base.path}: section rows: row start {rows[i]} follows {rows[i - 1]},"
+                           f" at byte offset {at + i * itemsize}")
+    # Base triples come from parsed statements, whose subject and predicate
+    # are never literals; derived ones may have a literal anywhere (RANGE
+    # over a literal-valued property gives a literal subject).
     for name, column in zip("spo", (s, p, o)):
         _check_ids(base, name, column, dictionary, literals=name == "o")
 

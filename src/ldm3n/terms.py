@@ -26,9 +26,12 @@ class Term:
         return isinstance(self, Literal)
 
 
-# Whitespace, control characters and the token delimiters; anything else
-# survives an angle-bracket round trip.
-_IRI_FORBIDDEN = re.compile(r'[\s<>"{}|^`\\\x00-\x1f]')
+# Control characters, whitespace and the token delimiters; anything else
+# survives an angle-bracket round trip. The whitespace is what str.isspace
+# accepts, spelled out: the regex engine tests listed code points faster
+# than it tests the \s category.
+_IRI_FORBIDDEN_CHARS = r'\x00-\x20\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000<>"{}|^`\\'
+_IRI_FORBIDDEN = re.compile(f"[{_IRI_FORBIDDEN_CHARS}]")
 
 
 @dataclass(frozen=True, slots=True)

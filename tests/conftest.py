@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from ldm3n import IRI, StoreConfig, Triple, create_store
+
+# CI selects this with --hypothesis-profile=ci, so property tests without
+# their own example count run ten times deeper there than locally.
+settings.register_profile("ci", max_examples=1000)
 
 EX = "http://example.org/"
 

@@ -142,3 +142,22 @@ def test_damaged_store_exits_three(pristine, capsys, name, how):
     assert code == 3
     assert err.startswith("error: ") and str(work / file_name) in err
     assert "Traceback" not in err
+
+
+def test_decreasing_rows_are_rejected(tmp_path, capsys):
+    """A CRC-valid ``rows`` whose starts decrease would hand the first
+    subject every pair of the store and send ``contains`` past the columns."""
+    path = tmp_path / "forged"
+    create_store(StoreConfig(path), succession_triples())
+    base = path / "base"
+    at, body, itemsize = layout.sections(base)["rows"]
+    rows = layout.ints(body, itemsize)
+    assert rows[:3] == [0, 2, 4] and rows[-1] == 6
+    layout.rewrite(base, rows=(layout.pack([0, 10**6] + rows[2:]), 4))
+    with pytest.raises(StoreCorrupt) as exc:
+        open_store(path)
+    assert str(exc.value) == f"{base}: section rows: row start 4 follows 1000000, at byte offset {at + 8}"
+    code = main(["spath", "--store", str(path), "--model", "ldm3n",
+                 "--source", f"<{ex('BillClinton').value}>", "--target", f"<{ex('GeorgeWBush').value}>"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith(f"error: {base}: section rows") and "Traceback" not in err

@@ -2,6 +2,7 @@ import os
 import random
 import re
 import shutil
+import stat
 import struct
 import zlib
 
@@ -19,6 +20,11 @@ from oracles import random_triples
 
 def ids_for(store, *names):
     return [store.resolve(ex(n)) for n in names]
+
+
+def tokens(triples):
+    """Triples as the token triples load_triples takes."""
+    return [(format_term(t.subject), format_term(t.predicate), format_term(t.object)) for t in triples]
 
 
 def test_succession_load_report_and_keys(succession_store):
@@ -93,7 +99,7 @@ def test_neighbor_order_is_sorted(make_store):
 
 
 def test_durability_round_trip(tmp_path, succession_triples):
-    dictionary, report = load_triples(StoreConfig(tmp_path / "dur"), succession_triples)
+    dictionary, report = load_triples(StoreConfig(tmp_path / "dur"), tokens(succession_triples))
     reopened = open_store(tmp_path / "dur")
     assert reopened.report == report
     encoded = sorted({tuple(dictionary.lookup(x) for x in (t.subject, t.predicate, t.object))
@@ -326,8 +332,9 @@ def test_open_and_spath_parse_only_what_they_need(tmp_path, succession_triples, 
 
 
 def crash_at(monkeypatch, step: int) -> None:
-    """Make the ``step``-th write, rename or unlink done by ldm3n.storage
-    raise OSError; a failing write first writes half of its bytes."""
+    """Make the ``step``-th write, fsync, rename or unlink done by
+    ldm3n.storage raise OSError; a failing write first writes half of its
+    bytes."""
     done = 0
 
     def tick() -> None:
@@ -351,8 +358,15 @@ def crash_at(monkeypatch, step: int) -> None:
             tick()
             self.f.write(data[len(data) // 2 :])
 
-    real_open, real_replace, real_unlink = open, os.replace, os.unlink
+        def flush(self):
+            self.f.flush()
+
+        def fileno(self):
+            return self.f.fileno()
+
+    real_open, real_fsync, real_replace, real_unlink = open, os.fsync, os.replace, os.unlink
     monkeypatch.setattr(storage, "open", lambda *a, **k: File(real_open(*a, **k)), raising=False)
+    monkeypatch.setattr(os, "fsync", lambda *a: (tick(), real_fsync(*a))[1])
     monkeypatch.setattr(os, "replace", lambda *a: (tick(), real_replace(*a))[1])
     monkeypatch.setattr(os, "unlink", lambda *a: (tick(), real_unlink(*a))[1])
 
@@ -378,7 +392,7 @@ def test_failed_write_never_leaves_mixed_contents(tmp_path, monkeypatch, success
 
     def run(path):
         if write == "load":
-            load_triples(StoreConfig(path), succession_triples[:4] + [Triple(ex("x"), ex("p"), Literal("y"))])
+            load_triples(StoreConfig(path), tokens(succession_triples[:4] + [Triple(ex("x"), ex("p"), Literal("y"))]))
             return
         reopened = open_store(path)
         minted = reopened.dictionary.encode(ex("minted"))
@@ -408,3 +422,32 @@ def test_failed_write_never_leaves_mixed_contents(tmp_path, monkeypatch, success
         assert not [p.name for p in path.iterdir() if p.name.endswith(".tmp")]
     assert contents(path) == new
     assert outcomes and outcomes[0] == old
+
+
+def test_writes_are_synced_before_and_after_each_rename(tmp_path, monkeypatch, succession_triples):
+    """Each file's bytes are on disk before its rename, and each rename and
+    unlink is on disk before the write returns."""
+    events = []
+    real_fsync, real_replace, real_unlink = os.fsync, os.replace, os.unlink
+
+    def fsync(fd):
+        events.append("fsync " + ("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", lambda a, b: (events.append(f"rename {os.path.basename(b)}"), real_replace(a, b)))
+    monkeypatch.setattr(os, "unlink", lambda a: (events.append(f"unlink {os.path.basename(a)}"), real_unlink(a)))
+    path = tmp_path / "durable"
+    store = create_store(StoreConfig(path), succession_triples)
+    assert events == ["unlink delta", "fsync file", "rename base", "fsync dir"]  # no delta to unlink yet
+    bc, h1 = ids_for(store, "BillClinton", "holdsPos#1")
+    events.clear()
+    save_delta(store, [(bc, h1, h1)])
+    assert events == ["fsync file", "rename delta", "fsync dir"]
+    events.clear()
+    load_triples(StoreConfig(path), tokens(succession_triples))
+    assert events == ["unlink delta", "fsync dir", "fsync file", "rename base", "fsync dir"]
+    save_delta(store, [(bc, h1, h1)])
+    events.clear()
+    save_delta(store, [])
+    assert events == ["unlink delta", "fsync dir"]

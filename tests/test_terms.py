@@ -1,11 +1,19 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ldm3n import BlankNode, IRI, Literal, Triple, format_term, parse_term
 from ldm3n.errors import MalformedLine
+from ldm3n import ntriples
 from ldm3n.ntriples import parse_ntriples, serialize_ntriples
 
 from conftest import EX, succession_triples
+
+
+def parse(text, **kwargs):
+    """The token triples parse_ntriples yields, parsed back into triples."""
+    return [Triple(*map(parse_term, t)) for t in parse_ntriples(text, **kwargs)]
 
 
 def test_term_equality_is_syntactic():
@@ -36,6 +44,17 @@ def test_iri_forbidden_characters_match_the_per_character_rule():
             assert str(exc.value).startswith(f"IRI contains forbidden character {c!r}:")
         else:
             assert IRI(f"http://a{c}b").value == f"http://a{c}b"
+    # The parser takes an IRI token as canonical only where IRI accepts it.
+    canonical = re.compile(ntriples._CANONICAL_IRI).fullmatch
+    for code in range(0x110000):
+        c = chr(code)
+        try:
+            IRI(c)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert (canonical(f"<{c}>") is not None) == accepted, hex(code)
 
 
 def test_iri_error_names_the_first_forbidden_character():
@@ -60,7 +79,8 @@ def test_triple_rejects_literal_subject_and_bad_predicate():
 def test_parse_simple_iri_statement():
     line = f"<{EX}BillClinton> <{EX}holdsPos#1> <{EX}U.S.President> ."
     (t,) = parse_ntriples(line)
-    assert t == Triple(IRI(EX + "BillClinton"), IRI(EX + "holdsPos#1"), IRI(EX + "U.S.President"))
+    assert t == (f"<{EX}BillClinton>", f"<{EX}holdsPos#1>", f"<{EX}U.S.President>")
+    assert parse(line) == [Triple(IRI(EX + "BillClinton"), IRI(EX + "holdsPos#1"), IRI(EX + "U.S.President"))]
 
 
 def test_parse_empty_input_yields_nothing():
@@ -69,7 +89,7 @@ def test_parse_empty_input_yields_nothing():
 
 
 def test_parse_minimal_literal_statement():
-    (t,) = parse_ntriples(f'<{EX}s> <{EX}p> "v" .')
+    (t,) = parse(f'<{EX}s> <{EX}p> "v" .')
     assert t == Triple(IRI(EX + "s"), IRI(EX + "p"), Literal("v"))
 
 
@@ -79,7 +99,7 @@ def test_parse_typed_and_tagged_literals_and_bnodes():
         f'<{EX}s> <{EX}p> "chat"@fr .\n'
         f"_:b0 <{EX}p> _:b1 .\n"
     )
-    ts = list(parse_ntriples(text))
+    ts = parse(text)
     assert ts[0].object == Literal("3", datatype="http://www.w3.org/2001/XMLSchema#integer")
     assert ts[1].object == Literal("chat", language="fr")
     assert ts[2].subject == BlankNode("b0") and ts[2].object == BlankNode("b1")
@@ -87,7 +107,8 @@ def test_parse_typed_and_tagged_literals_and_bnodes():
 
 def test_parse_escapes():
     (t,) = parse_ntriples(f'<{EX}s> <{EX}p> "a\\"b\\\\c\\nd\\u0041" .')
-    assert t.object == Literal('a"b\\c\nd' + "A")
+    assert t[2] == '"a\\"b\\\\c\\nd' + 'A"'
+    assert parse_term(t[2]) == Literal('a"b\\c\nd' + "A")
 
 
 def test_strict_mode_raises_with_line_number():
@@ -125,7 +146,7 @@ def test_succession_fixture_round_trips():
     triples = succession_triples()
     out = serialize_ntriples(triples)
     assert out.count("\n") == 6
-    assert list(parse_ntriples(out)) == triples
+    assert parse(out) == triples
 
 
 def test_term_token_round_trip():
@@ -149,7 +170,7 @@ safe_text = st.text(
 @given(lexical=safe_text)
 def test_literal_serialization_round_trip(lexical):
     t = Triple(IRI(EX + "s"), IRI(EX + "p"), Literal(lexical))
-    assert list(parse_ntriples(serialize_ntriples([t]))) == [t]
+    assert parse(serialize_ntriples([t])) == [t]
 
 
 @given(lexical=safe_text, lang=st.sampled_from(["en", "en-US", None]))
@@ -171,4 +192,4 @@ iri_text = st.text(
 @given(value=iri_text)
 def test_iri_statement_round_trip_property(value):
     t = Triple(IRI(value), IRI(value), IRI(value))
-    assert list(parse_ntriples(serialize_ntriples([t]))) == [t]
+    assert parse(serialize_ntriples([t])) == [t]
