@@ -90,7 +90,7 @@ def _vocab(args) -> Vocabulary:
 def _open_view(args):
     store = storage.open_store(args.store)
     if getattr(args, "with_derived", False) and store.delta:
-        return store, StoreView(store, store.delta, mode="union")
+        return store, StoreView(store, store.delta)
     return store, store
 
 

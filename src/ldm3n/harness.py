@@ -15,9 +15,9 @@ runs through predicate nodes.
 Batches run one shortest-path search per distinct source, which stops once
 every target asked of that source has been popped; each pair's record is
 fixed when its target pops, so it equals the answer of a search for that
-pair alone. With more than one worker the sources fan out over a thread
-pool against the shared read-only store; all non-timing outputs are
-invariant to the worker count. Reach batches keep status, distance and
+pair alone. Sources run one after another on the calling thread; the
+``workers`` count is accepted and echoed in the report, so every non-timing
+output is the same for any count. Reach batches keep status, distance and
 ``nodes_explored`` but rebuild no paths. A group's ordered pairs are a lazy
 view over its members, so memory stays linear in the group size.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -265,8 +264,8 @@ def run_batch(
     the pop of its target (to the end of the search when unreachable).
     Per-query failures (unknown endpoints) land in the report as error
     records instead of aborting the batch. Reach mode leaves ``path`` unset.
-    Sources fan out over ``workers`` threads; records come back sorted by
-    (source, target), so reports are comparable across worker counts.
+    Sources run one after another; ``workers`` is checked and echoed in the
+    report, and records come back sorted by (source, target).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -274,8 +273,12 @@ def run_batch(
         raise ValueError(f"bad batch mode: {mode}")
     paths = mode == "spath"
 
-    def one_source(item: tuple[int, list[int]]) -> list[QueryRecord]:
-        source, targets = item
+    started = time.perf_counter()
+    by_source: dict[int, list[int]] = {}
+    for source, target in pairs:
+        by_source.setdefault(source, []).append(target)
+    records: list[QueryRecord] = []
+    for source, targets in by_source.items():
         errors: dict[int, str] = {}
         for target in targets:
             try:
@@ -284,7 +287,6 @@ def run_batch(
                 errors[target] = str(exc)
         live = [t for t in targets if t not in errors]
         found = _dijkstra(store, source, live, model, max_dist, paths) if live else {}
-        records = []
         for target in targets:
             if target in errors:
                 records.append(
@@ -302,18 +304,6 @@ def run_batch(
                 result.elapsed_s * 1000.0,
                 result.resource_path,
             ))
-        return records
-
-    started = time.perf_counter()
-    by_source: dict[int, list[int]] = {}
-    for source, target in pairs:
-        by_source.setdefault(source, []).append(target)
-    if workers == 1:
-        batches = map(one_source, by_source.items())
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(one_source, by_source.items()))
-    records = [r for batch in batches for r in batch]
     total_ms = (time.perf_counter() - started) * 1000.0
 
     records.sort(key=lambda r: (r.source, r.target))

@@ -8,10 +8,10 @@ front (the singleton-property IRIs are configurable, since datasets bind
 them in different namespaces).
 
 Derived triples accumulate in a delta on top of the immutable base index;
-``StoreView`` exposes base, delta, or their union through the same query
-surface the traversal code uses. Entailment is a single-writer batch phase:
-it may extend the dictionary (e.g. minting ``rdf:type`` when the base data
-never mentions it) and must not run concurrently with queries.
+``StoreView`` exposes their union through the same query surface the
+traversal code uses. Entailment is a single-writer batch phase: it may
+extend the dictionary (e.g. minting ``rdf:type`` when the base data never
+mentions it) and must not run concurrently with queries.
 """
 
 from __future__ import annotations
@@ -93,69 +93,44 @@ def resolve_vocabulary(dictionary: Dictionary, vocab: Vocabulary | None = None) 
 
 
 class StoreView:
-    """Base triples plus a derived delta, queryable as base/delta/union."""
+    """Base triples plus a derived delta, queried as their union.
 
-    def __init__(self, store: Store, delta: Iterable[tuple[int, int, int]] = (), mode: str = "union"):
-        if mode not in ("base", "delta", "union"):
-            raise ValueError(f"bad view mode: {mode}")
+    ``delta`` keeps the derived triples in the order given; the index over
+    them groups them by subject in ``(s, p, o)`` order.
+    """
+
+    def __init__(self, store: Store, delta: Iterable[tuple[int, int, int]] = ()):
         self.store = store
-        self.mode = mode
+        self.delta = list(delta)
         self._delta_pairs: dict[int, list[tuple[int, int]]] = {}
-        self._delta = []
-        for s, p, o in delta:
-            self._delta.append((s, p, o))
+        for s, p, o in sorted(self.delta):
             self._delta_pairs.setdefault(s, []).append((p, o))
-        for pairs in self._delta_pairs.values():
-            pairs.sort()
-
-    @property
-    def delta(self) -> list[tuple[int, int, int]]:
-        return list(self._delta)
 
     def neighbors(self, node: int) -> list[tuple[int, int]]:
-        base = self.store.neighbors(node) if self.mode in ("base", "union") else []
-        extra = self._delta_pairs.get(node, []) if self.mode in ("delta", "union") else []
+        base = self.store.neighbors(node)
+        extra = self._delta_pairs.get(node)
         if not extra:
             return base
         return sorted(base + extra)
 
-    def pair_count(self, node: int) -> int:
-        return len(self.neighbors(node))
-
     def iter_triples(self) -> Iterator[tuple[int, int, int]]:
-        if self.mode in ("base", "union"):
-            yield from self.store.iter_triples()
-        if self.mode in ("delta", "union"):
-            for s in sorted(self._delta_pairs):
-                for p, o in self._delta_pairs[s]:
-                    yield (s, p, o)
+        yield from self.store.iter_triples()
+        for s, pairs in self._delta_pairs.items():
+            for p, o in pairs:
+                yield (s, p, o)
 
     def contains(self, s: int, p: int, o: int) -> bool:
-        if self.mode in ("base", "union") and self.store.contains(s, p, o):
+        if self.store.contains(s, p, o):
             return True
-        if self.mode in ("delta", "union"):
-            pairs = self._delta_pairs.get(s)
-            if pairs:
-                i = bisect_left(pairs, (p, o))
-                return i < len(pairs) and pairs[i] == (p, o)
-        return False
+        pairs = self._delta_pairs.get(s, ())
+        i = bisect_left(pairs, (p, o))
+        return i < len(pairs) and pairs[i] == (p, o)
 
     def is_issued(self, term_id: int) -> bool:
         return self.store.is_issued(term_id)
 
     def triple_count(self) -> int:
-        n = 0
-        if self.mode in ("base", "union"):
-            n += self.store.triple_count()
-        if self.mode in ("delta", "union"):
-            n += len(self._delta)
-        return n
-
-    def decode(self, term_id: int):
-        return self.store.decode(term_id)
-
-    def resolve(self, term: Term) -> int:
-        return self.store.resolve(term)
+        return self.store.triple_count() + len(self.delta)
 
 
 @dataclass
@@ -334,9 +309,10 @@ def entail_fixpoint(
 ) -> EntailmentResult:
     """Semi-naive forward chaining to the least fixpoint.
 
-    Each round joins the previous round's new triples against the full set,
-    so nothing is re-derived from scratch; rule monotonicity makes the
-    fixpoint unique regardless of application order. Derived triples that
+    The first round joins the base with itself; each later round joins the
+    previous round's new triples against the full set, so nothing is
+    re-derived from scratch. Rule monotonicity makes the fixpoint unique
+    regardless of application order. Derived triples that
     need ``rdf:type`` may mint its id (writer phase). Raises ResourceLimit
     when the derived count passes ``max_derived``.
     """
@@ -347,10 +323,10 @@ def entail_fixpoint(
     resolved = resolve_vocabulary(store.dictionary, vocab)
 
     full = _RuleIndex(store.iter_triples())
-    delta = _RuleIndex(store.iter_triples())
     derived: list[tuple[int, int, int]] = []
     rounds = 0
-    while delta.all:
+    delta: _RuleIndex | None = None  # None: round one, the naive pass
+    while full.all if delta is None else delta.all:
         rounds += 1
         new: set[tuple[int, int, int]] = set()
         for rule in rules:
@@ -362,7 +338,7 @@ def entail_fixpoint(
         if max_derived is not None and len(derived) > max_derived:
             raise ResourceLimit(f"derived {len(derived)} triples, bound is {max_derived}")
         delta = _RuleIndex(new)
-    return EntailmentResult(len(derived), rounds, StoreView(store, derived, mode="union"))
+    return EntailmentResult(len(derived), rounds, StoreView(store, derived))
 
 
 @dataclass

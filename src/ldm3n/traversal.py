@@ -11,19 +11,21 @@ Two traversal models run over the same subject-keyed row index:
   distance +1 and never visits predicates, so anything connected only
   through a predicate node is unreachable.
 
-Each visited entry remembers the exact triple through which the node was
-relaxed, not just the previous node id. A predicate node shared by several
-triples can hold a best-distance entry from one triple while some object is
-reached through another; reconstructing through node-keyed previous
-pointers alone could then splice an initial edge of one triple onto the
-terminal edge of another. Keeping the relaxing triple pins reconstruction
-to whole triples, so returned paths always satisfy the pairing constraint.
+The search keeps, for each reached node, its best distance and the exact
+triple through which it was relaxed, not just the previous node id. A
+predicate node shared by several triples can hold a best distance from one
+triple while some object is reached through another; reconstructing through
+node-keyed previous pointers alone could then splice an initial edge of one
+triple onto the terminal edge of another. Keeping the relaxing triple pins
+reconstruction to whole triples, so returned paths always satisfy the
+pairing constraint.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from typing import Collection
@@ -41,21 +43,6 @@ class Model(enum.Enum):
 class PathStatus(enum.Enum):
     FOUND = "found"
     UNREACHABLE = "unreachable"
-
-
-class Role(enum.Enum):
-    SOURCE = 0
-    PRED = 1
-    OBJ = 2
-
-
-@dataclass(slots=True)
-class VisitedEntry:
-    node: int
-    best_distance: int
-    previous: int  # 0 for the source
-    role: Role
-    triple: tuple[int, int, int] | None  # the triple that relaxed this node
 
 
 @dataclass(slots=True)
@@ -98,35 +85,23 @@ def _dijkstra(
     started = time.perf_counter()
     pending = set(targets)
     results: dict[int, PathQueryResult] = {}
-    visited: dict[int, VisitedEntry] = {
-        source: VisitedEntry(source, 0, 0, Role.SOURCE, None)
-    }
+    best: dict[int, int] = {source: 0}
+    via: dict[int, tuple[int, int, int]] = {}  # the triple that relaxed each node
     heap: list[tuple[int, int]] = [(0, source)]
     explored = 0
-
-    def update(node: int, dist: int, prev: int, role: Role, triple: tuple[int, int, int]) -> bool:
-        entry = visited.get(node)
-        if entry is None:
-            visited[node] = VisitedEntry(node, dist, prev, role, triple)
-            return True
-        if dist < entry.best_distance:
-            entry.best_distance = dist
-            entry.previous = prev
-            entry.role = role
-            entry.triple = triple
-            return True
-        return False
+    ldm3n = model is Model.LDM3N
+    push, pop, inf = heapq.heappush, heapq.heappop, math.inf
 
     while heap:
-        dis, curid = heapq.heappop(heap)
-        if dis > visited[curid].best_distance:
+        dis, curid = pop(heap)
+        if dis > best[curid]:
             continue  # stale queue entry
         if max_dist is not None and dis > max_dist:
             break
         explored += 1
         if curid in pending:
             pending.discard(curid)
-            nodes, triples = _reconstruct(visited, source, curid, model) if paths else (None, None)
+            nodes, triples = _reconstruct(via, source, curid, ldm3n) if paths else (None, None)
             results[curid] = PathQueryResult(
                 PathStatus.FOUND, dis, nodes, triples, explored, time.perf_counter() - started
             )
@@ -134,16 +109,22 @@ def _dijkstra(
                 return results
         if is_literal_id(curid):
             continue  # literals are sinks; skip the index probe
+        step, far = dis + 1, dis + 2
         for pred, obj in store.neighbors(curid):
             triple = (curid, pred, obj)
-            if model is Model.LDM3N:
-                if update(pred, dis + 1, curid, Role.PRED, triple):
-                    heapq.heappush(heap, (dis + 1, pred))
-                if update(obj, dis + 2, pred, Role.OBJ, triple):
-                    heapq.heappush(heap, (dis + 2, obj))
-            else:
-                if update(obj, dis + 1, curid, Role.OBJ, triple):
-                    heapq.heappush(heap, (dis + 1, obj))
+            if ldm3n:
+                if step < best.get(pred, inf):
+                    best[pred] = step
+                    via[pred] = triple
+                    push(heap, (step, pred))
+                if far < best.get(obj, inf):
+                    best[obj] = far
+                    via[obj] = triple
+                    push(heap, (far, obj))
+            elif step < best.get(obj, inf):
+                best[obj] = step
+                via[obj] = triple
+                push(heap, (step, obj))
 
     elapsed = time.perf_counter() - started
     for target in pending:
@@ -152,22 +133,26 @@ def _dijkstra(
 
 
 def _reconstruct(
-    visited: dict[int, VisitedEntry], source: int, target: int, model: Model
+    via: dict[int, tuple[int, int, int]], source: int, target: int, ldm3n: bool
 ) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Walk the relaxing triples back from ``target`` to ``source``.
+
+    Under the triple-node model a node that is its triple's predicate was
+    entered as that predicate: a triple relaxes its predicate (+1) before its
+    object (+2), so even in ``(s, p, p)`` the object step never wins. Any
+    other node was entered as its triple's object, through the predicate.
+    Under the labeled-arc model every node is entered as an object.
+    """
     rev_nodes: list[int] = []
     rev_triples: list[tuple[int, int, int]] = []
     cur = target
     while cur != source:
-        entry = visited[cur]
-        s, p, o = entry.triple
-        if entry.role is Role.OBJ:
-            rev_nodes.append(o)
-            if model is Model.LDM3N:
-                rev_nodes.append(p)
-        else:
-            rev_nodes.append(p)
-        rev_triples.append((s, p, o))
-        cur = s
+        triple = via[cur]
+        rev_nodes.append(cur)
+        if ldm3n and cur != triple[1]:
+            rev_nodes.append(triple[1])
+        rev_triples.append(triple)
+        cur = triple[0]
     rev_nodes.append(source)
     rev_nodes.reverse()
     rev_triples.reverse()

@@ -1,5 +1,9 @@
 import csv
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -373,3 +377,11 @@ def test_bench_with_derived_matches_spath(derived_store, tmp_path, capsys):
                          "--source", row[0], "--target", row[1]]) == 0
             # The bench row without its elapsed_ms column.
             assert row[:6] + row[7:] == next(csv.reader([capsys.readouterr().out]))
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # Batches run on the calling thread, so no CLI process needs the pool.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import sys, ldm3n.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

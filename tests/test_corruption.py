@@ -107,7 +107,7 @@ def test_damaged_store_raises_or_answers_as_the_oracle(pristine, data):
     base = expected["base"]
     assert engine_answers(store, store.dictionary, base) == base
     assert store.triple_count() == len(BASE)
-    union = StoreView(store, store.delta, mode="union")
+    union = StoreView(store, store.delta)
     assert engine_answers(union, store.dictionary, expected["union"]) == expected["union"]
     assert union.triple_count() == len(BASE) + 2
 
@@ -116,7 +116,7 @@ def test_undamaged_store_answers_as_the_oracle(pristine):
     files, expected, work = pristine
     store = open_store(damaged_copy(files, work, "", 0, 0))
     assert engine_answers(store, store.dictionary, expected["base"]) == expected["base"]
-    union = StoreView(store, store.delta, mode="union")
+    union = StoreView(store, store.delta)
     assert engine_answers(union, store.dictionary, expected["union"]) == expected["union"]
     # The derived typing shortens the walk to the office: 4 edges through the
     # domain declaration, 3 through holdsPos#1's own type triple.

@@ -157,6 +157,9 @@ def test_worker_count_invariance(make_store):
     assert solo.reachable_count == pooled.reachable_count
     assert list(solo.per_distance) == list(pooled.per_distance)
     assert [c for c, _ in solo.per_distance.values()] == [c for c, _ in pooled.per_distance.values()]
+    out = io.StringIO()
+    pooled.write_csv(out)
+    assert " workers=5 " in out.getvalue().splitlines()[-1]
 
 
 def test_report_aggregates_recompute_from_records(make_store):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -329,17 +330,30 @@ def test_resource_limit(make_store):
 
 
 def test_store_view_modes(make_store):
-    store = make_store([Triple(ex("a"), ex("p"), ex("b"))])
-    a, p, b = (store.resolve(ex(n)) for n in "apb")
-    extra = (b, p, a)
-    view = StoreView(store, [extra], mode="union")
-    assert view.contains(a, p, b) and view.contains(*extra)
-    assert view.triple_count() == 2
-    assert StoreView(store, [extra], mode="base").contains(*extra) is False
-    delta_only = StoreView(store, [extra], mode="delta")
-    assert delta_only.contains(*extra) and not delta_only.contains(a, p, b)
-    assert view.neighbors(b) == [(p, a)]
-    assert view.pair_count(a) == 1
+    # The view is the union of base and delta, brute-force checked.
+    store = make_store([
+        Triple(ex("a"), ex("p"), ex("b")),
+        Triple(ex("a"), ex("q"), Literal("v")),
+        Triple(ex("b"), ex("p"), ex("c")),
+        Triple(ex("c"), ex("q"), ex("a")),
+    ])
+    a, b, c, p, q = ids_for(store, "a", "b", "c", "p", "q")
+    v = store.resolve(Literal("v"))
+    # Given out of order: several triples per subject, one literal subject.
+    delta = [(c, p, b), (a, q, c), (v, p, a), (a, p, a), (c, p, a), (b, q, v)]
+    view = StoreView(store, delta)
+    base = list(store.iter_triples())
+    union = set(base) | set(delta)
+    assert len(union) == len(base) + len(delta)
+
+    assert view.delta == delta
+    ids = list(store.dictionary.ids())
+    for n in ids:
+        assert view.neighbors(n) == sorted((tp, to) for ts, tp, to in union if ts == n)
+    assert list(view.iter_triples()) == base + sorted(delta)
+    assert view.triple_count() == len(union)
+    for t in itertools.product(ids, repeat=3):
+        assert view.contains(*t) is (t in union)
 
 
 # -- XML literal flagging ----------------------------------------------------

@@ -203,6 +203,22 @@ def test_shared_predicate_does_not_corrupt_reconstruction(make_store):
     assert validate_resource_path(g, result_x.resource_path) is True
 
 
+def test_predicate_that_is_also_its_triples_object_is_entered_as_predicate(make_store):
+    # In (a, p, p) the +1 predicate step beats the +2 object step of the same
+    # triple, so p is entered as a predicate and appears once in the path.
+    store = make_store([Triple(ex("a"), ex("p"), ex("p")), Triple(ex("p"), ex("q"), ex("b"))])
+    a, p, q, b = ids_for(store, "a", "p", "q", "b")
+
+    result = dijkstra_ldm3n(store, a, b)
+    assert result.distance == 3
+    assert result.resource_path == [a, p, q, b]
+    assert result.triple_path == [(a, p, p), (p, q, b)]
+
+    nlan = dijkstra_nlan(store, a, p)
+    assert nlan.distance == 1
+    assert nlan.resource_path == [a, p]
+
+
 # -- oracle equivalence and structural properties ------------------------
 
 
@@ -241,6 +257,7 @@ def test_found_paths_always_validate(make_store):
             assert validate_triple_path(store, result.triple_path)
         nlan = dijkstra_nlan(store, source, target)
         if nlan.found:
+            assert nlan.distance == len(nlan.resource_path) - 1
             assert validate_triple_path(store, nlan.triple_path)
 
 
