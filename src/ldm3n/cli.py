@@ -87,6 +87,17 @@ def _vocab(args) -> Vocabulary:
     )
 
 
+def _singletons(args, store, view) -> set[int]:
+    """Ids ``view`` declares singleton, under the command's vocabulary."""
+    resolved = resolve_vocabulary(store.dictionary, _vocab(args))
+    return semantics.classify_singleton_properties(view, resolved)
+
+
+def _singleton_violations(args, store, view) -> list[semantics.SingletonViolation]:
+    singletons = _singletons(args, store, view)
+    return semantics.validate_singleton_uniqueness(view, singletons, strict=args.strict_singletons)
+
+
 def _open_view(args):
     store = storage.open_store(args.store)
     if getattr(args, "with_derived", False) and store.delta:
@@ -148,17 +159,12 @@ def _cmd_query(args) -> int:
 
 def _cmd_entail(args) -> int:
     store = storage.open_store(args.store)
-    vocab = _vocab(args)
     rules = [Rule(name.strip()) for name in args.rules.split(",") if name.strip()]
-    result = semantics.entail_fixpoint(store, rules, vocab, max_derived=args.max_derived)
+    result = semantics.entail_fixpoint(store, rules, _vocab(args), max_derived=args.max_derived)
 
     # Re-validate singleton uniqueness against the materialized view; derived
     # triples can turn a clean store into a violating one.
-    resolved = resolve_vocabulary(store.dictionary, vocab)
-    singletons = semantics.classify_singleton_properties(result.view, resolved)
-    violations = semantics.validate_singleton_uniqueness(
-        result.view, singletons, strict=args.strict_singletons
-    )
+    violations = _singleton_violations(args, store, result.view)
 
     def emit(out) -> None:
         # Stored tokens are format_term output, so these are N-Triples lines;
@@ -183,11 +189,7 @@ def _cmd_entail(args) -> int:
 
 def _cmd_validate(args) -> int:
     store, view = _open_view(args)
-    resolved = resolve_vocabulary(store.dictionary, _vocab(args))
-    singletons = semantics.classify_singleton_properties(view, resolved)
-    violations = semantics.validate_singleton_uniqueness(
-        view, singletons, strict=args.strict_singletons
-    )
+    violations = _singleton_violations(args, store, view)
     writer = csv.writer(sys.stdout)
     writer.writerow(["property", "kind", "occurrences"])
     for v in violations:
@@ -212,8 +214,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_stats(args) -> int:
     store, view = _open_view(args)
-    resolved = resolve_vocabulary(store.dictionary, _vocab(args))
-    singletons = semantics.classify_singleton_properties(view, resolved)
+    singletons = _singletons(args, store, view)
     triples = view.triple_count()
     writer = csv.writer(sys.stdout)
     writer.writerow(["metric", "value"])

@@ -316,8 +316,9 @@ def read_pairs_csv(lines: Iterable[str], store) -> list[tuple[int, int]]:
     """Pair file rows ``source_iri,target_iri`` resolved to ids.
 
     Accepts bare IRIs or N-Triples tokens; a header row is skipped when
-    present. A term missing from the store raises UnknownNode naming the
-    row's line number and the term.
+    present. A term missing from the store raises UnknownNode, and a
+    malformed row ValueError; either message starts with the row's line
+    number.
     """
     from .terms import parse_term
 
@@ -328,15 +329,18 @@ def read_pairs_csv(lines: Iterable[str], store) -> list[tuple[int, int]]:
             continue
         if [c.strip().lower() for c in row[:2]] == ["source_iri", "target_iri"]:
             continue
+        where = f"pairs line {reader.line_num}"
         if len(row) < 2:
-            raise ValueError(f"pair row needs two columns: {row!r}")
+            raise ValueError(f"{where}: pair row needs two columns: {row!r}")
         ids = []
         for cell in row[:2]:
             cell = cell.strip()
-            term = parse_term(cell) if cell[:1] in ("<", '"', "_") else IRI(cell)
             try:
+                term = parse_term(cell) if cell[:1] in ("<", '"', "_") else IRI(cell)
                 ids.append(store.resolve(term))
             except UnknownNode as exc:
-                raise UnknownNode(f"pairs line {reader.line_num}: {exc}") from None
+                raise UnknownNode(f"{where}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
         pairs.append((ids[0], ids[1]))
     return pairs

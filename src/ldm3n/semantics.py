@@ -7,7 +7,8 @@ well-known vocabulary ids are resolved against the store dictionary up
 front (the singleton-property IRIs are configurable, since datasets bind
 them in different namespaces).
 
-Derived triples accumulate in a delta on top of the immutable base index;
+Entailment copies only the triples of predicates its rules read; derived
+triples accumulate in a delta on top of the immutable base index;
 ``StoreView`` exposes their union through the same query surface the
 traversal code uses. Entailment is a single-writer batch phase: it may
 extend the dictionary (e.g. minting ``rdf:type`` when the base data never
@@ -20,6 +21,7 @@ import dataclasses
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 from xml.etree import ElementTree
 
@@ -225,26 +227,11 @@ class Rule(enum.Enum):
 ALL_RULES = (Rule.RDFS5, Rule.RDFS7, Rule.RDFS9, Rule.DOMAIN, Rule.RANGE)
 
 
-class _RuleIndex:
-    """Triples bucketed by predicate, for joining rule premises."""
-
-    def __init__(self, triples: Iterable[tuple[int, int, int]]):
-        self.by_pred: dict[int, set[tuple[int, int]]] = {}
-        self.all: set[tuple[int, int, int]] = set()
-        for t in triples:
-            self.add(t)
-
-    def add(self, t: tuple[int, int, int]) -> None:
-        s, p, o = t
-        self.all.add(t)
-        self.by_pred.setdefault(p, set()).add((s, o))
-
-    def pairs(self, p: int) -> set[tuple[int, int]]:
-        return self.by_pred.get(p, set())
+Buckets = dict[int, set[tuple[int, int]]]  # predicate id -> its (subject, object) pairs
 
 
 def _rule_matches(
-    rule: Rule, full: _RuleIndex, delta: _RuleIndex | None, vocab: ResolvedVocabulary
+    rule: Rule, full: Buckets, delta: Buckets | None, vocab: ResolvedVocabulary
 ) -> set[tuple[int, int, int]]:
     """One joint application of ``rule``; with ``delta``, only matches using
     at least one delta premise (the semi-naive restriction)."""
@@ -261,37 +248,31 @@ def _rule_matches(
         if rule is Rule.RDFS5 and vocab.sub_property_of:
             spo = vocab.sub_property_of
             heads: dict[int, list[int]] = {}
-            for b, c in second.pairs(spo):
+            for b, c in second.get(spo, ()):
                 heads.setdefault(b, []).append(c)
-            for a, b in first.pairs(spo):
+            for a, b in first.get(spo, ()):
                 for c in heads.get(b, ()):
                     out.add((a, spo, c))
         elif rule is Rule.RDFS7 and vocab.sub_property_of:
-            for a, b in first.pairs(vocab.sub_property_of):
-                for u, y in second.pairs(a):
+            for a, b in first.get(vocab.sub_property_of, ()):
+                for u, y in second.get(a, ()):
                     out.add((u, b, y))
         elif rule is Rule.RDFS9 and vocab.sub_class_of and vocab.type:
             members: dict[int, list[int]] = {}
-            for v, u in second.pairs(vocab.type):
+            for v, u in second.get(vocab.type, ()):
                 members.setdefault(u, []).append(v)
-            for u, x in first.pairs(vocab.sub_class_of):
+            for u, x in first.get(vocab.sub_class_of, ()):
                 for v in members.get(u, ()):
                     out.add((v, vocab.type, x))
         elif rule is Rule.DOMAIN and vocab.domain and vocab.type:
-            for p, cls in first.pairs(vocab.domain):
-                for u, _v in second.pairs(p):
+            for p, cls in first.get(vocab.domain, ()):
+                for u, _v in second.get(p, ()):
                     out.add((u, vocab.type, cls))
         elif rule is Rule.RANGE and vocab.range and vocab.type:
-            for p, cls in first.pairs(vocab.range):
-                for _u, v in second.pairs(p):
+            for p, cls in first.get(vocab.range, ()):
+                for _u, v in second.get(p, ()):
                     out.add((v, vocab.type, cls))
-    return {t for t in out if t not in full.all}
-
-
-def apply_rule(view, rule: Rule, vocab: ResolvedVocabulary) -> set[tuple[int, int, int]]:
-    """Triples derivable by a single application of one rule, minus those present."""
-    full = _RuleIndex(view.iter_triples())
-    return _rule_matches(rule, full, None, vocab)
+    return out
 
 
 @dataclass
@@ -309,6 +290,11 @@ def entail_fixpoint(
 ) -> EntailmentResult:
     """Semi-naive forward chaining to the least fixpoint.
 
+    The rules join buckets, filled by store scans, of the predicates they
+    read: the five vocabulary terms and every subject of a subPropertyOf,
+    domain or range triple. ``Store.contains`` and the derived triples say
+    what is already present.
+
     The first round joins the base with itself; each later round joins the
     previous round's new triples against the full set, so nothing is
     re-derived from scratch. Rule monotonicity makes the fixpoint unique
@@ -321,23 +307,36 @@ def entail_fixpoint(
     if any(r in (Rule.DOMAIN, Rule.RANGE, Rule.RDFS9) for r in rules):
         store.dictionary.encode(vocab.type)
     resolved = resolve_vocabulary(store.dictionary, vocab)
+    schema = [i for i in (resolved.sub_property_of, resolved.domain, resolved.range) if i]
+    vocab_ids = {i for i in (*schema, resolved.sub_class_of, resolved.type) if i}
 
-    full = _RuleIndex(store.iter_triples())
-    derived: list[tuple[int, int, int]] = []
+    full: Buckets = {}
+    derived: dict[tuple[int, int, int], None] = {}  # an insertion-ordered set
     rounds = 0
-    delta: _RuleIndex | None = None  # None: round one, the naive pass
-    while full.all if delta is None else delta.all:
+    delta: Buckets | None = None  # None: round one, the naive pass
+    while store.triple_count() if delta is None else delta:
         rounds += 1
+        while fill := {
+            p: set() for p in vocab_ids.union(*({s for s, _ in full.get(q, ())} for q in schema))
+            if p not in full
+        }:
+            for s, p, o in chain(store.iter_triples(), derived):
+                if p in fill:
+                    fill[p].add((s, o))
+            full.update(fill)
         new: set[tuple[int, int, int]] = set()
         for rule in rules:
             new |= _rule_matches(rule, full, delta, resolved)
-        new -= full.all
+        new = {t for t in new if t not in derived and not store.contains(*t)}
+        delta = {}
         for t in sorted(new):
-            full.add(t)
-            derived.append(t)
+            s, p, o = t
+            derived[t] = None
+            if p in full:
+                full[p].add((s, o))
+            delta.setdefault(p, set()).add((s, o))
         if max_derived is not None and len(derived) > max_derived:
             raise ResourceLimit(f"derived {len(derived)} triples, bound is {max_derived}")
-        delta = _RuleIndex(new)
     return EntailmentResult(len(derived), rounds, StoreView(store, derived))
 
 

@@ -121,7 +121,10 @@ def unescape_string(s: str) -> str:
             if len(hexpart) != width:
                 raise ValueError(f"truncated \\{nxt} escape")
             try:
-                out.append(chr(int(hexpart, 16)))
+                code = int(hexpart, 16)
+                if 0xD800 <= code <= 0xDFFF:
+                    raise ValueError  # a lone surrogate: no UTF-8 encoding
+                out.append(chr(code))
             except ValueError:
                 raise ValueError(f"bad \\{nxt} escape: {hexpart!r}") from None
             i += 2 + width

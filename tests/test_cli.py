@@ -57,6 +57,25 @@ def test_load_strict_fails_on_bad_line(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_load_rejects_lone_surrogate_escapes(tmp_path, capsys):
+    nt = tmp_path / "surrogate.nt"
+    nt.write_text(
+        f'<{EX}a> <{EX}p> <{EX}b> .\n<{EX}a> <{EX}q> "x\\uD800y" .\n<{EX}b> <{EX}p> "z" .\n',
+        encoding="utf-8",
+    )
+    code = main(["load", "--store", str(tmp_path / "strict"), "--input", str(nt)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 2: bad \\u escape: 'D800'")
+
+    store = tmp_path / "lenient"
+    code = main(["load", "--store", str(store), "--input", str(nt), "--lenient"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "triples,2" in captured.out and "malformed_lines,1" in captured.out
+    assert "skipped line 2" in captured.err
+    assert stats_triples(store, capsys) == "triples,2"
+
+
 def test_spath_golden(loaded_store, capsys):
     code = main([
         "spath", "--store", str(loaded_store), "--model", "ldm3n",
@@ -356,6 +375,19 @@ def test_bench_unknown_term_exits_one(loaded_store, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: pairs line 3: term not in store: <{EX}nobody>\n"
+    assert captured.out == ""
+
+
+def test_bench_malformed_pair_row_exits_one(loaded_store, tmp_path, capsys):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"{EX}BillClinton,{EX}GeorgeWBush\n<{EX}BillClinton,{EX}FrankWhite\n")
+    code = main([
+        "bench", "--store", str(loaded_store), "--mode", "spath", "--model", "ldm3n",
+        "--pairs", str(pairs),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: pairs line 2: unterminated IRI: '<{EX}BillClinton'\n"
     assert captured.out == ""
 
 

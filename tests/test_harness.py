@@ -299,3 +299,16 @@ def test_read_pairs_csv_accepts_bare_and_token_forms(make_store):
     assert pairs == [(a, b), (b, a)]
     with pytest.raises(UnknownNode, match=f"pairs line 4: term not in store: <{EX}missing>"):
         read_pairs_csv(io.StringIO(text + f"{EX}a,{EX}missing\n"), store)
+
+
+@pytest.mark.parametrize(
+    ("row", "reason"),
+    [(f"<{EX}a,{EX}b", "unterminated IRI"), (f",{EX}b", "IRI must be non-empty"),
+     (f"{EX}a", "pair row needs two columns")],
+    ids=["malformed_cell", "empty_cell", "one_column"],
+)
+def test_read_pairs_csv_errors_name_their_line(make_store, row, reason):
+    store = make_store([Triple(ex("a"), ex("p"), ex("b"))])
+    text = f"source_iri,target_iri\n{EX}a,{EX}b\n{row}\n"
+    with pytest.raises(ValueError, match=f"^pairs line 3: {reason}"):
+        read_pairs_csv(io.StringIO(text), store)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,6 @@ from ldm3n.semantics import (
     StoreView,
     ViolationKind,
     Vocabulary,
-    apply_rule,
     classify_singleton_properties,
     compute_extensions,
     entail_fixpoint,
@@ -24,7 +24,7 @@ from ldm3n.semantics import (
 )
 
 from conftest import EX, ex
-from oracles import naive_entailment_closure
+from oracles import naive_entailment_closure, random_triples
 
 FIXTURE_VOCAB = Vocabulary().with_singleton(property_of=EX + "singletonPropOf")
 
@@ -37,6 +37,10 @@ LABEL = IRI(RDFS_NS + "label")
 
 def ids_for(store, *names):
     return [store.resolve(ex(n)) for n in names]
+
+
+def derived(store, *rules):
+    return set(entail_fixpoint(store, rules).view.delta)
 
 
 # -- extensions -----------------------------------------------------------
@@ -155,10 +159,9 @@ def test_rule_transitivity(make_store):
         Triple(ex("a"), SUB_PROPERTY_OF, ex("b")),
         Triple(ex("b"), SUB_PROPERTY_OF, ex("c")),
     ])
-    vocab = resolve_vocabulary(store.dictionary)
     a, c = store.resolve(ex("a")), store.resolve(ex("c"))
     spo = store.resolve(SUB_PROPERTY_OF)
-    assert apply_rule(store, Rule.RDFS5, vocab) == {(a, spo, c)}
+    assert derived(store, Rule.RDFS5) == {(a, spo, c)}
 
 
 def test_rule_property_inheritance(make_store):
@@ -166,11 +169,10 @@ def test_rule_property_inheritance(make_store):
         Triple(ex("hasFamilyName"), SUB_PROPERTY_OF, LABEL),
         Triple(ex("s"), ex("hasFamilyName"), Literal("Clinton")),
     ])
-    vocab = resolve_vocabulary(store.dictionary)
     s = store.resolve(ex("s"))
     label = store.resolve(LABEL)
     lit = store.resolve(Literal("Clinton"))
-    assert apply_rule(store, Rule.RDFS7, vocab) == {(s, label, lit)}
+    assert derived(store, Rule.RDFS7) == {(s, label, lit)}
 
 
 def test_rule_instance_typing(make_store):
@@ -180,7 +182,7 @@ def test_rule_instance_typing(make_store):
     ])
     vocab = resolve_vocabulary(store.dictionary)
     v, x = store.resolve(ex("v")), store.resolve(ex("x"))
-    assert apply_rule(store, Rule.RDFS9, vocab) == {(v, vocab.type, x)}
+    assert derived(store, Rule.RDFS9) == {(v, vocab.type, x)}
 
 
 def test_rule_domain_and_range(make_store):
@@ -193,8 +195,8 @@ def test_rule_domain_and_range(make_store):
     vocab = resolve_vocabulary(store.dictionary)
     u, v = store.resolve(ex("u")), store.resolve(ex("v"))
     c, d = store.resolve(ex("C")), store.resolve(ex("D"))
-    assert apply_rule(store, Rule.DOMAIN, vocab) == {(u, vocab.type, c)}
-    assert apply_rule(store, Rule.RANGE, vocab) == {(v, vocab.type, d)}
+    assert derived(store, Rule.DOMAIN) == {(u, vocab.type, c)}
+    assert derived(store, Rule.RANGE) == {(v, vocab.type, d)}
 
 
 def test_apply_rule_excludes_already_present(make_store):
@@ -203,8 +205,7 @@ def test_apply_rule_excludes_already_present(make_store):
         Triple(ex("b"), SUB_PROPERTY_OF, ex("c")),
         Triple(ex("a"), SUB_PROPERTY_OF, ex("c")),
     ])
-    vocab = resolve_vocabulary(store.dictionary)
-    assert apply_rule(store, Rule.RDFS5, vocab) == set()
+    assert derived(store, Rule.RDFS5) == set()
 
 
 # -- fixpoint --------------------------------------------------------------
@@ -250,10 +251,27 @@ def _random_schema(rng):
     return triples
 
 
-def test_fixpoint_matches_naive_oracle(make_store):
+def _vocabulary_schema(rng):
+    # The five vocabulary terms are properties too, so a subPropertyOf
+    # chain can lead to domain or range: a round can derive schema triples
+    # that name properties no earlier round read.
+    props = [SUB_PROPERTY_OF, SUB_CLASS_OF, RDF_TYPE, DOMAIN, RANGE]
+    props += [ex(f"p{i}") for i in range(rng.randint(2, 6))]
+    nodes = props + [ex(f"n{i}") for i in range(rng.randint(2, 6))]
+    return [
+        Triple(rng.choice(nodes), rng.choice(props), rng.choice(nodes + [Literal("v")]))
+        for _ in range(rng.randint(4, 20))
+    ]
+
+
+@pytest.mark.parametrize(
+    ("schema", "stores"), [(_random_schema, 8), (_vocabulary_schema, 100)],
+    ids=["random_schema", "vocabulary_schema"],
+)
+def test_fixpoint_matches_naive_oracle(make_store, schema, stores):
     rng = random.Random(99)
-    for _ in range(8):
-        store = make_store(_random_schema(rng))
+    for _ in range(stores):
+        store = make_store(schema(rng))
         result = entail_fixpoint(store)
         vocab = resolve_vocabulary(store.dictionary)
         expected = naive_entailment_closure(
@@ -261,6 +279,54 @@ def test_fixpoint_matches_naive_oracle(make_store):
             vocab.sub_property_of, vocab.sub_class_of, vocab.type, vocab.domain, vocab.range,
         )
         assert set(result.view.iter_triples()) == expected
+
+
+def test_fixpoint_reads_properties_named_by_derived_schema(make_store):
+    # Round one derives (p, domain, C) through myDom; round two must then
+    # read p's triples, which no schema triple of the base names.
+    store = make_store([
+        Triple(ex("myDom"), SUB_PROPERTY_OF, DOMAIN),
+        Triple(ex("p"), ex("myDom"), ex("C")),
+        Triple(ex("u"), ex("p"), ex("v")),
+    ])
+    result = entail_fixpoint(store)
+    p, c, u = ids_for(store, "p", "C", "u")
+    domain, rdf_type = store.resolve(DOMAIN), store.resolve(RDF_TYPE)
+    assert set(result.view.delta) == {(p, domain, c), (u, rdf_type, c)}
+    assert result.rounds == 3
+
+
+def test_fixpoint_reads_derived_triples_of_a_late_read_property(make_store):
+    # (u, p, y) is derived in round one, (p, domain, C) only in round two,
+    # so the scan that buckets p in round three must read derived triples.
+    store = make_store([
+        Triple(ex("q"), SUB_PROPERTY_OF, ex("p")),
+        Triple(ex("u"), ex("q"), ex("y")),
+        Triple(ex("myDom2"), SUB_PROPERTY_OF, ex("myDom")),
+        Triple(ex("myDom"), SUB_PROPERTY_OF, DOMAIN),
+        Triple(ex("p"), ex("myDom2"), ex("C")),
+    ])
+    result = entail_fixpoint(store)
+    p, u, y, c, my_dom, my_dom2 = ids_for(store, "p", "u", "y", "C", "myDom", "myDom2")
+    spo, domain, rdf_type = (store.resolve(t) for t in (SUB_PROPERTY_OF, DOMAIN, RDF_TYPE))
+    assert set(result.view.delta) == {
+        (my_dom2, spo, domain), (u, p, y), (p, my_dom, c), (p, domain, c), (u, rdf_type, c),
+    }
+    assert result.rounds == 4
+
+
+def test_fixpoint_keeps_no_copy_of_the_base(make_store):
+    # No schema triples: the rules read nothing, so nothing of the base is
+    # bucketed or copied.
+    store = make_store(random_triples(random.Random(3), 20_000, iris=40))
+    tracemalloc.start()
+    try:
+        result = entail_fixpoint(store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.derived_count == 0
+    assert peak < 1_000_000
 
 
 def test_fixpoint_is_idempotent(make_store):

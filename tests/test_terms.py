@@ -111,6 +111,14 @@ def test_parse_escapes():
     assert parse_term(t[2]) == Literal('a"b\\c\nd' + "A")
 
 
+def test_surrogate_escape_is_a_bad_escape():
+    # A lone surrogate has no UTF-8 form, so no store could hold it.
+    for token in ('"\\uD800"', '"x\\uDFFFy"', '"\\U0000DC00"'):
+        with pytest.raises(ValueError, match=r"bad \\[uU] escape"):
+            parse_term(token)
+    assert parse_term('"\\uD7FF\\uE000"') == Literal("\ud7ff\ue000")
+
+
 def test_strict_mode_raises_with_line_number():
     text = f"<{EX}a> <{EX}p> <{EX}b> .\nthis is junk\n"
     with pytest.raises(MalformedLine) as err:
