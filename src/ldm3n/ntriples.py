@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import io
 import re
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import MalformedLine
 from .terms import _IRI_FORBIDDEN_CHARS, BlankNode, IRI, Literal, Triple, unescape_string, format_term
@@ -53,31 +53,23 @@ _CANONICAL = re.compile(
 )
 
 
-def _lines(source: IO | bytes | str | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    for raw in source:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        yield raw
-
-
 def parse_ntriples(
-    source: IO | bytes | str | Iterable[str],
+    source: str | Iterable[str],
     strict: bool = True,
     errors: list[MalformedLine] | None = None,
 ) -> Iterator[tuple[str, str, str]]:
-    """Yield (subject, predicate, object) token triples from N-Triples text,
-    in file order, duplicates included.
+    """Yield (subject, predicate, object) token triples from N-Triples text
+    (one string, or an iterable of lines such as a text file), in file order,
+    duplicates included.
 
     Each token is canonical: what ``format_term`` prints for its term. In
     strict mode the first malformed statement raises MalformedLine; in
     lenient mode it is skipped and appended to ``errors`` (when given).
     """
+    if isinstance(source, str):
+        source = io.StringIO(source)
     canonical = _CANONICAL.match
-    for lineno, raw in enumerate(_lines(source), start=1):
+    for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         m = canonical(line)
         if m is not None:

@@ -8,9 +8,10 @@ front (the singleton-property IRIs are configurable, since datasets bind
 them in different namespaces).
 
 Entailment copies only the triples of predicates its rules read; derived
-triples accumulate in a delta on top of the immutable base index;
+triples accumulate in a delta on top of the immutable base index.
 ``StoreView`` exposes their union through the same query surface the
-traversal code uses. Entailment is a single-writer batch phase: it may
+traversal code uses: the base, then the delta as one run sorted by
+``(s, p, o)``. Entailment is a single-writer batch phase: it may
 extend the dictionary (e.g. minting ``rdf:type`` when the base data never
 mentions it) and must not run concurrently with queries.
 """
@@ -42,7 +43,6 @@ RDFS_DOMAIN = IRI(RDFS_NS + "domain")
 RDFS_RANGE = IRI(RDFS_NS + "range")
 RDFS_SUB_PROPERTY_OF = IRI(RDFS_NS + "subPropertyOf")
 RDFS_SUB_CLASS_OF = IRI(RDFS_NS + "subClassOf")
-RDFS_LABEL = IRI(RDFS_NS + "label")
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class Vocabulary:
     range: Term = RDFS_RANGE
     sub_property_of: Term = RDFS_SUB_PROPERTY_OF
     sub_class_of: Term = RDFS_SUB_CLASS_OF
-    label: Term = RDFS_LABEL
     xml_literal: Term = RDF_XML_LITERAL
 
     def with_singleton(self, property_of: str | None = None, singleton_class: str | None = None) -> Vocabulary:
@@ -81,8 +80,6 @@ class ResolvedVocabulary:
     range: int = 0
     sub_property_of: int = 0
     sub_class_of: int = 0
-    label: int = 0
-    xml_literal: int = 0
 
 
 def resolve_vocabulary(dictionary: Dictionary, vocab: Vocabulary | None = None) -> ResolvedVocabulary:
@@ -97,36 +94,33 @@ def resolve_vocabulary(dictionary: Dictionary, vocab: Vocabulary | None = None) 
 class StoreView:
     """Base triples plus a derived delta, queried as their union.
 
-    ``delta`` keeps the derived triples in the order given; the index over
-    them groups them by subject in ``(s, p, o)`` order.
+    ``delta`` keeps the derived triples in the order given; ``_run`` holds
+    them once more, sorted by ``(s, p, o)``, and is bisected by subject.
     """
 
     def __init__(self, store: Store, delta: Iterable[tuple[int, int, int]] = ()):
         self.store = store
         self.delta = list(delta)
-        self._delta_pairs: dict[int, list[tuple[int, int]]] = {}
-        for s, p, o in sorted(self.delta):
-            self._delta_pairs.setdefault(s, []).append((p, o))
+        self._run = sorted(self.delta)
 
     def neighbors(self, node: int) -> list[tuple[int, int]]:
         base = self.store.neighbors(node)
-        extra = self._delta_pairs.get(node)
-        if not extra:
+        run = self._run
+        i = bisect_left(run, (node,))
+        if i == len(run) or run[i][0] != node:
             return base
-        return sorted(base + extra)
+        j = bisect_left(run, (node + 1,), i)
+        return sorted(base + [(p, o) for _, p, o in run[i:j]])
 
     def iter_triples(self) -> Iterator[tuple[int, int, int]]:
-        yield from self.store.iter_triples()
-        for s, pairs in self._delta_pairs.items():
-            for p, o in pairs:
-                yield (s, p, o)
+        return chain(self.store.iter_triples(), self._run)
 
     def contains(self, s: int, p: int, o: int) -> bool:
         if self.store.contains(s, p, o):
             return True
-        pairs = self._delta_pairs.get(s, ())
-        i = bisect_left(pairs, (p, o))
-        return i < len(pairs) and pairs[i] == (p, o)
+        t = (s, p, o)
+        i = bisect_left(self._run, t)
+        return i < len(self._run) and self._run[i] == t
 
     def is_issued(self, term_id: int) -> bool:
         return self.store.is_issued(term_id)

@@ -123,10 +123,6 @@ class Store:
         b = rows[i]
         return list(zip(self.p[a:b], self.o[a:b]))
 
-    def pair_count(self, node: int) -> int:
-        a, b = self._row(node)
-        return b - a
-
     def iter_triples(self) -> Iterator[tuple[int, int, int]]:
         return zip(self.s, self.p, self.o)
 

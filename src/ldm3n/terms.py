@@ -96,6 +96,7 @@ def escape_string(s: str) -> str:
     return "".join(out)
 
 
+_HEX_DIGITS = re.compile(r"[0-9A-Fa-f]*")  # int(x, 16) also takes signs, spaces and "_"
 _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
 
 
@@ -121,6 +122,8 @@ def unescape_string(s: str) -> str:
             if len(hexpart) != width:
                 raise ValueError(f"truncated \\{nxt} escape")
             try:
+                if not _HEX_DIGITS.fullmatch(hexpart):
+                    raise ValueError
                 code = int(hexpart, 16)
                 if 0xD800 <= code <= 0xDFFF:
                     raise ValueError  # a lone surrogate: no UTF-8 encoding

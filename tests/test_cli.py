@@ -76,6 +76,28 @@ def test_load_rejects_lone_surrogate_escapes(tmp_path, capsys):
     assert stats_triples(store, capsys) == "triples,2"
 
 
+def test_load_rejects_non_hex_escapes(tmp_path, capsys):
+    nt = tmp_path / "nonhex.nt"
+    nt.write_text(
+        f'<{EX}a> <{EX}p> <{EX}b> .\n<{EX}a> <{EX}q> "\\u 041" .\n'
+        f'<{EX}a> <{EX}q> "\\u+041" .\n<{EX}a> <{EX}q> "\\U0000_041" .\n<{EX}b> <{EX}p> "\\u0041" .\n',
+        encoding="utf-8",
+    )
+    code = main(["load", "--store", str(tmp_path / "strict"), "--input", str(nt)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 2: bad \\u escape: ' 041'")
+
+    store = tmp_path / "lenient"
+    code = main(["load", "--store", str(store), "--input", str(nt), "--lenient"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "triples,2" in captured.out and "malformed_lines,3" in captured.out
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == [
+        "skipped line 2", "skipped line 3", "skipped line 4"
+    ]
+    assert stats_triples(store, capsys) == "triples,2"
+
+
 def test_spath_golden(loaded_store, capsys):
     code = main([
         "spath", "--store", str(loaded_store), "--model", "ldm3n",

@@ -395,7 +395,19 @@ def test_resource_limit(make_store):
 # -- views ------------------------------------------------------------------
 
 
-def test_store_view_modes(make_store):
+@pytest.mark.parametrize(
+    "delta_names",
+    [
+        # Given out of order: several triples per subject, one literal subject.
+        ["cpb", "aqc", "vpa", "apa", "cpa", "bqv"],
+        [],
+        # Subjects on both sides of b, which has base triples only, and on c,
+        # the largest issued id.
+        ["cpc", "aqb", "apc"],
+    ],
+    ids=["out_of_order", "empty", "straddle"],
+)
+def test_store_view_modes(make_store, delta_names):
     # The view is the union of base and delta, brute-force checked.
     store = make_store([
         Triple(ex("a"), ex("p"), ex("b")),
@@ -403,17 +415,16 @@ def test_store_view_modes(make_store):
         Triple(ex("b"), ex("p"), ex("c")),
         Triple(ex("c"), ex("q"), ex("a")),
     ])
-    a, b, c, p, q = ids_for(store, "a", "b", "c", "p", "q")
-    v = store.resolve(Literal("v"))
-    # Given out of order: several triples per subject, one literal subject.
-    delta = [(c, p, b), (a, q, c), (v, p, a), (a, p, a), (c, p, a), (b, q, v)]
+    term_id = dict(zip("abcpq", ids_for(store, "a", "b", "c", "p", "q")), v=store.resolve(Literal("v")))
+    ids = list(store.dictionary.ids())
+    assert term_id["a"] < term_id["b"] < term_id["c"] == max(ids)
+    delta = [tuple(term_id[n] for n in t) for t in delta_names]
     view = StoreView(store, delta)
     base = list(store.iter_triples())
     union = set(base) | set(delta)
     assert len(union) == len(base) + len(delta)
 
     assert view.delta == delta
-    ids = list(store.dictionary.ids())
     for n in ids:
         assert view.neighbors(n) == sorted((tp, to) for ts, tp, to in union if ts == n)
     assert list(view.iter_triples()) == base + sorted(delta)

@@ -119,6 +119,14 @@ def test_surrogate_escape_is_a_bad_escape():
     assert parse_term('"\\uD7FF\\uE000"') == Literal("\ud7ff\ue000")
 
 
+def test_non_hex_escape_is_a_bad_escape():
+    # int(x, 16) would read each of these as 0x41.
+    for token in ('"\\u 041"', '"\\u+041"', '"\\u0_41"', '"\\U0000_041"', '"\\u\u0660\u0660\u0664\u0661"'):
+        with pytest.raises(ValueError, match=r"bad \\[uU] escape"):
+            parse_term(token)
+    assert parse_term('"\\u004a\\U0000004B"') == Literal("JK")
+
+
 def test_strict_mode_raises_with_line_number():
     text = f"<{EX}a> <{EX}p> <{EX}b> .\nthis is junk\n"
     with pytest.raises(MalformedLine) as err:
