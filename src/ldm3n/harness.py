@@ -13,9 +13,12 @@ labeled-arc model every such pair is unreachable, because the only route
 runs through predicate nodes.
 
 Batches run one shortest-path search per distinct source, which stops once
-every target asked of that source has been popped; each pair's record is
-fixed when its target pops, so it equals the answer of a search for that
-pair alone. Sources run one after another on the calling thread; the
+every target asked of that source has been popped; each pair's distance,
+``nodes_explored`` and ``elapsed_ms`` are fixed when its target pops, so
+they equal the answer of a search for that pair alone, and the timing ends
+exactly at that pop. Paths are rebuilt after the search from its tree of
+relaxing triples, each tree edge once per source, however many targets
+share it. Sources run one after another on the calling thread; the
 ``workers`` count is accepted and echoed in the report, so every non-timing
 output is the same for any count. Reach batches keep status, distance and
 ``nodes_explored`` but rebuild no paths. A group's ordered pairs are a lazy
@@ -28,13 +31,14 @@ import csv
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import UnknownNode, UnknownProperty
 from .semantics import RDF_SINGLETON_PROPERTY_OF, Vocabulary, resolve_vocabulary
 from .terms import IRI, Triple
-from .traversal import Model, PathStatus, _dijkstra, check_endpoints
+from .traversal import Model, PathStatus, _dijkstra, _rebuild, check_endpoints
 
 CHAIN_NS = "http://example.org/chain/"
 NOISE_NS = "http://example.org/noise/"
@@ -193,39 +197,36 @@ class BatchReport:
     def average_elapsed_ms(self) -> float:
         return self.total_elapsed_ms / len(self.records) if self.records else 0.0
 
-    def recompute_aggregates(self) -> None:
-        buckets: dict[int, list[float]] = {}
-        for r in self.records:
-            if r.status == PathStatus.FOUND.value and r.distance is not None:
-                buckets.setdefault(r.distance, []).append(r.elapsed_ms)
-        self.per_distance = {
-            d: (len(v), sum(v) / len(v)) for d, v in sorted(buckets.items())
-        }
-
     def write_csv(self, out: IO, dictionary=None) -> None:
         """Records as CSV rows, then per-distance and summary trailer lines.
 
         ``dictionary`` (a Dictionary or a Store) renders each distinct issued
         term id once per call, as its stored token; other ids print as numbers.
         """
-        names: dict[int, str] = {}
 
+        @cache
         def name(term_id: int) -> str:
-            text = names.get(term_id)
-            if text is None:
-                if dictionary is None or not dictionary.is_issued(term_id):
-                    text = str(term_id)
-                else:
-                    text = dictionary.token(term_id)
-                names[term_id] = text
-            return text
+            if dictionary is None or not dictionary.is_issued(term_id):
+                return str(term_id)
+            return dictionary.token(term_id)
 
         writer = csv.writer(out)
         writer.writerow(
             ["source", "target", "model", "status", "distance", "nodes_explored", "elapsed_ms", "path"]
         )
-        for r in self.records:
-            writer.writerow(_record_row(r, name))
+        writer.writerows(
+            [
+                name(r.source),
+                name(r.target),
+                r.model.value,
+                r.status,
+                r.distance,  # None is written as ""
+                r.nodes_explored,
+                f"{r.elapsed_ms:.3f}",
+                r.error if r.error is not None else "/".join(map(name, r.path)) if r.path else "",
+            ]
+            for r in self.records
+        )
         for d, (count, mean_ms) in self.per_distance.items():
             out.write(f"# distance {d}: count={count} mean_ms={mean_ms:.3f}\n")
         out.write(
@@ -233,20 +234,6 @@ class BatchReport:
             f" total_ms={self.total_elapsed_ms:.3f} avg_ms={self.average_elapsed_ms:.3f}"
             f" workers={self.workers} model={self.model.value} mode={self.mode}\n"
         )
-
-
-def _record_row(r: QueryRecord, name: Callable[[int], str]) -> list[str]:
-    path = "/".join(name(n) for n in r.path) if r.path else ""
-    return [
-        name(r.source),
-        name(r.target),
-        r.model.value,
-        r.status,
-        "" if r.distance is None else str(r.distance),
-        str(r.nodes_explored),
-        f"{r.elapsed_ms:.3f}",
-        path if r.error is None else r.error,
-    ]
 
 
 def run_batch(
@@ -259,57 +246,52 @@ def run_batch(
 ) -> BatchReport:
     """Answer every pair with one search per distinct source.
 
-    Each input pair gets one record, duplicates and self-pairs included.
-    A record's ``elapsed_ms`` runs from the start of its source's search to
-    the pop of its target (to the end of the search when unreachable).
-    Per-query failures (unknown endpoints) land in the report as error
-    records instead of aborting the batch. Reach mode leaves ``path`` unset.
-    Sources run one after another; ``workers`` is checked and echoed in the
-    report, and records come back sorted by (source, target).
+    Each input pair gets one record, duplicates and self-pairs included, and
+    records come out sorted by (source, target). A record's ``elapsed_ms``
+    runs from the start of its source's search to the pop of its target (to
+    the end of the search when unreachable); paths are rebuilt after the
+    search, outside that time. Per-query failures (unknown endpoints) land in
+    the report as error records instead of aborting the batch. Reach mode
+    leaves ``path`` unset. Sources run one after another; ``workers`` is
+    checked and echoed in the report.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if mode not in ("reach", "spath"):
         raise ValueError(f"bad batch mode: {mode}")
     paths = mode == "spath"
+    ldm3n = model is Model.LDM3N
 
     started = time.perf_counter()
     by_source: dict[int, list[int]] = {}
     for source, target in pairs:
         by_source.setdefault(source, []).append(target)
     records: list[QueryRecord] = []
-    for source, targets in by_source.items():
-        errors: dict[int, str] = {}
+    found_ms: dict[int, list[float]] = {}  # distance -> elapsed_ms of each found record
+    for source in sorted(by_source):
+        targets = sorted(by_source[source])
+        live = [t for t in targets if store.is_issued(t)] if store.is_issued(source) else []
+        found, via = _dijkstra(store, source, live, model, max_dist) if live else ({}, {})
+        memo = {source: ([source], [])}
         for target in targets:
-            try:
-                check_endpoints(store, source, target)
-            except UnknownNode as exc:
-                errors[target] = str(exc)
-        live = [t for t in targets if t not in errors]
-        found = _dijkstra(store, source, live, model, max_dist, paths) if live else {}
-        for target in targets:
-            if target in errors:
-                records.append(
-                    QueryRecord(source, target, model, "error", None, 0, 0.0, None, errors[target])
-                )
+            if target not in found:  # an endpoint was never issued, so this raises
+                try:
+                    check_endpoints(store, source, target)
+                except UnknownNode as exc:
+                    records.append(QueryRecord(source, target, model, "error", None, 0, 0.0, None, str(exc)))
                 continue
-            result = found[target]
-            records.append(QueryRecord(
-                source,
-                target,
-                model,
-                result.status.value,
-                result.distance,
-                result.nodes_explored,
-                result.elapsed_s * 1000.0,
-                result.resource_path,
-            ))
+            distance, explored, elapsed = found[target]
+            elapsed_ms = elapsed * 1000.0
+            if distance is None:
+                records.append(QueryRecord(source, target, model, "unreachable", None, explored, elapsed_ms, None))
+                continue
+            path = _rebuild(via, memo, target, ldm3n)[0] if paths else None
+            records.append(QueryRecord(source, target, model, "found", distance, explored, elapsed_ms, path))
+            found_ms.setdefault(distance, []).append(elapsed_ms)
     total_ms = (time.perf_counter() - started) * 1000.0
 
-    records.sort(key=lambda r: (r.source, r.target))
-    report = BatchReport(model, mode, workers, records, total_ms)
-    report.recompute_aggregates()
-    return report
+    per_distance = {d: (len(v), sum(v) / len(v)) for d, v in sorted(found_ms.items())}
+    return BatchReport(model, mode, workers, records, total_ms, per_distance)
 
 
 def read_pairs_csv(lines: Iterable[str], store) -> list[tuple[int, int]]:

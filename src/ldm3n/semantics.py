@@ -24,7 +24,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator
-from xml.etree import ElementTree
 
 from .dictionary import Dictionary, is_literal_id
 from .errors import ResourceLimit
@@ -161,14 +160,13 @@ def compute_extensions(view, vocab: ResolvedVocabulary) -> PropertyExtensions:
 
 
 def classify_singleton_properties(view, vocab: ResolvedVocabulary) -> set[int]:
-    """Ids declared singleton: via the singleton-of link or an explicit type."""
-    singletons: set[int] = set()
-    for s, p, o in view.iter_triples():
-        if vocab.singleton_property_of != 0 and p == vocab.singleton_property_of:
-            singletons.add(s)
-        elif vocab.type != 0 and p == vocab.type and o == vocab.singleton_class and vocab.singleton_class != 0:
-            singletons.add(s)
-    return singletons
+    """Ids declared singleton: via the singleton-of link or an explicit type.
+
+    A stored id is never 0, so a vocabulary term absent from the store
+    (resolved to 0) matches nothing.
+    """
+    of, typ, cls = vocab.singleton_property_of, vocab.type, vocab.singleton_class
+    return {s for s, p, o in view.iter_triples() if p == of or (p == typ and o == cls)}
 
 
 class ViolationKind(enum.Enum):
@@ -346,6 +344,8 @@ def flag_xml_literals(store: Store, vocab: Vocabulary | None = None) -> XmlLiter
     Ill-typed literals are flagged only (excluded from the literal-value
     space in reports); nothing is rejected or removed.
     """
+    from xml.etree import ElementTree  # only here, so other commands skip the import
+
     vocab = vocab or Vocabulary()
     xml_dt = vocab.xml_literal.value if isinstance(vocab.xml_literal, IRI) else str(vocab.xml_literal)
     report = XmlLiteralReport()

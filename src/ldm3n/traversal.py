@@ -68,23 +68,23 @@ def check_endpoints(store, source: int, target: int) -> None:
 
 
 def _dijkstra(
-    store, source: int, targets: Collection[int], model: Model, max_dist: int | None, paths: bool = True
-) -> dict[int, PathQueryResult]:
+    store, source: int, targets: Collection[int], model: Model, max_dist: int | None
+) -> tuple[dict[int, tuple[int | None, int, float]], dict[int, tuple[int, int, int]]]:
     """One search from ``source`` that answers every id in ``targets``.
 
-    The search stops once every target has been popped, at the first pop
-    beyond ``max_dist``, or when the queue runs out. A target's result is
-    fixed the moment it is popped: its distance, the pops so far as
-    ``nodes_explored``, the time since the search started and, when
-    ``paths`` is set, its rebuilt path. The pops before a target are the pops
-    a search for that target alone makes, and a settled entry never changes,
-    so each result equals the single-target answer. Targets never popped are
-    unreachable, with every pop of the search counted. Endpoints must be
-    issued; callers check them.
+    Returns each target's ``(distance, nodes_explored, elapsed_s)``, fixed at
+    its pop (elapsed from the start of the search), and ``via``, the tree of
+    relaxing triples that ``_rebuild`` reads paths from. The search stops
+    once every target has been popped, at the first pop beyond ``max_dist``,
+    or when the queue runs out. The pops before a target are those of a
+    search for that target alone, and a settled node's relaxing triple never
+    changes, so every answer and path equals the single-target one. Targets
+    never popped are unreachable (distance ``None``), with every pop of the
+    search counted. Endpoints must be issued; callers check them.
     """
     started = time.perf_counter()
     pending = set(targets)
-    results: dict[int, PathQueryResult] = {}
+    results: dict[int, tuple[int | None, int, float]] = {}
     best: dict[int, int] = {source: 0}
     via: dict[int, tuple[int, int, int]] = {}  # the triple that relaxed each node
     heap: list[tuple[int, int]] = [(0, source)]
@@ -101,12 +101,9 @@ def _dijkstra(
         explored += 1
         if curid in pending:
             pending.discard(curid)
-            nodes, triples = _reconstruct(via, source, curid, ldm3n) if paths else (None, None)
-            results[curid] = PathQueryResult(
-                PathStatus.FOUND, dis, nodes, triples, explored, time.perf_counter() - started
-            )
+            results[curid] = (dis, explored, time.perf_counter() - started)
             if not pending:
-                return results
+                return results, via
         if is_literal_id(curid):
             continue  # literals are sinks; skip the index probe
         step, far = dis + 1, dis + 2
@@ -128,14 +125,21 @@ def _dijkstra(
 
     elapsed = time.perf_counter() - started
     for target in pending:
-        results[target] = PathQueryResult(PathStatus.UNREACHABLE, None, None, None, explored, elapsed)
-    return results
+        results[target] = (None, explored, elapsed)
+    return results, via
 
 
-def _reconstruct(
-    via: dict[int, tuple[int, int, int]], source: int, target: int, ldm3n: bool
-) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Walk the relaxing triples back from ``target`` to ``source``.
+Paths = tuple[list[int], list[tuple[int, int, int]]]
+
+
+def _rebuild(via: dict[int, tuple[int, int, int]], memo: dict[int, Paths], node: int, ldm3n: bool) -> Paths:
+    """The resource path and triple path from the search's source to ``node``.
+
+    ``memo`` maps each node already rebuilt from this search to its paths
+    and starts as ``{source: ([source], [])}``. The walk goes back along
+    ``via`` to the nearest memoized node and memoizes every node on the way
+    forward, so targets that share a prefix walk it once. Each path is a
+    new list, since later paths extend it.
 
     Under the triple-node model a node that is its triple's predicate was
     entered as that predicate: a triple relaxes its predicate (+1) before its
@@ -143,20 +147,17 @@ def _reconstruct(
     other node was entered as its triple's object, through the predicate.
     Under the labeled-arc model every node is entered as an object.
     """
-    rev_nodes: list[int] = []
-    rev_triples: list[tuple[int, int, int]] = []
-    cur = target
-    while cur != source:
+    walk: list[int] = []
+    while node not in memo:
+        walk.append(node)
+        node = via[node][0]
+    nodes, triples = memo[node]
+    for cur in reversed(walk):
         triple = via[cur]
-        rev_nodes.append(cur)
-        if ldm3n and cur != triple[1]:
-            rev_nodes.append(triple[1])
-        rev_triples.append(triple)
-        cur = triple[0]
-    rev_nodes.append(source)
-    rev_nodes.reverse()
-    rev_triples.reverse()
-    return rev_nodes, rev_triples
+        nodes = nodes + ([triple[1], cur] if ldm3n and cur != triple[1] else [cur])
+        triples = triples + [triple]
+        memo[cur] = nodes, triples
+    return nodes, triples
 
 
 def dijkstra_ldm3n(store, source: int, target: int, max_dist: int | None = None) -> PathQueryResult:
@@ -179,7 +180,12 @@ def shortest_path(
     store, source: int, target: int, model: Model, max_dist: int | None = None
 ) -> PathQueryResult:
     check_endpoints(store, source, target)
-    return _dijkstra(store, source, (target,), model, max_dist)[target]
+    found, via = _dijkstra(store, source, (target,), model, max_dist)
+    distance, explored, elapsed = found[target]
+    if distance is None:
+        return PathQueryResult(PathStatus.UNREACHABLE, None, None, None, explored, elapsed)
+    nodes, triples = _rebuild(via, {source: ([source], [])}, target, model is Model.LDM3N)
+    return PathQueryResult(PathStatus.FOUND, distance, nodes, triples, explored, elapsed)
 
 
 def reachable(

@@ -433,9 +433,11 @@ def test_bench_with_derived_matches_spath(derived_store, tmp_path, capsys):
             assert row[:6] + row[7:] == next(csv.reader([capsys.readouterr().out]))
 
 
-def test_cli_import_leaves_concurrent_futures_unloaded():
-    # Batches run on the calling thread, so no CLI process needs the pool.
+@pytest.mark.parametrize("module", ["concurrent.futures", "xml.etree.ElementTree"])
+def test_cli_import_leaves_module_unloaded(module):
+    # Batches run on the calling thread, so no CLI process needs the pool;
+    # only flag_xml_literals parses XML, and it imports the parser itself.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    probe = "import sys, ldm3n.cli; print('concurrent.futures' in sys.modules)"
+    probe = f"import sys, ldm3n.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 import csv
 import io
 import operator
+import re
 import tracemalloc
 
 import pytest
@@ -197,6 +198,53 @@ def test_report_csv_shape(make_store):
     assert any(line.startswith("# distance 3:") for line in lines)
 
 
+GOLDEN_PATHS = {
+    (1, 2): "<C:politician/0/1>/<C:holdsPos/0/1>/<C:hasSuccessor>/<C:politician/0/2>",
+    (1, 3): "<C:politician/0/1>/<C:holdsPos/0/1>/<C:hasSuccessor>/<C:politician/0/2>"
+    "/<C:holdsPos/0/2>/<C:hasSuccessor>/<C:politician/0/3>",
+    (2, 2): "<C:politician/0/2>",
+    (2, 3): "<C:politician/0/2>/<C:holdsPos/0/2>/<C:hasSuccessor>/<C:politician/0/3>",
+}
+
+GOLDEN_REPORT = """\
+source,target,model,status,distance,nodes_explored,elapsed_ms,path\r
+0,<C:politician/0/2>,ldm3n,error,,0,-,source id 0 was never issued\r
+<C:politician/0/1>,<C:politician/0/2>,ldm3n,found,3,7,-,{1,2}\r
+<C:politician/0/1>,<C:politician/0/3>,ldm3n,found,6,9,-,{1,3}\r
+<C:politician/0/1>,<C:politician/0/3>,ldm3n,found,6,9,-,{1,3}\r
+<C:politician/0/2>,<C:politician/0/1>,ldm3n,unreachable,,8,-,\r
+<C:politician/0/2>,<C:politician/0/2>,ldm3n,found,0,1,-,{2,2}\r
+<C:politician/0/2>,<C:politician/0/3>,ldm3n,found,3,7,-,{2,3}\r
+<C:politician/0/3>,<C:politician/0/1>,ldm3n,unreachable,,5,-,\r
+<C:politician/0/3>,<C:politician/0/2>,ldm3n,unreachable,,5,-,\r
+<C:politician/0/3>,424242,ldm3n,error,,0,-,target id 424242 was never issued\r
+# distance 0: count=1 mean_ms=-
+# distance 3: count=2 mean_ms=-
+# distance 6: count=2 mean_ms=-
+# summary: pairs=10 reachable=5 total_ms=- avg_ms=- workers=1 model=ldm3n mode={mode}
+"""
+
+
+@pytest.mark.parametrize("mode", ["spath", "reach"])
+def test_report_csv_golden(make_store, mode):
+    # Row order, line ends, quoting and the trailer, with every timing cut.
+    spec = ChainSpec(groups=1, members=3, seed=10)
+    store = chain_store(make_store, spec)
+    (group,) = generate_pairs(store, store.resolve(GENERIC_POSITION_PROPERTY))
+    m1, m2, m3 = group.members
+    pairs = [*group.pairs, (m2, m2), (m1, m3), (0, m2), (m3, 424242)]
+    out = io.StringIO()
+    run_batch(store, pairs, Model.LDM3N, mode).write_csv(out, store)
+    text = re.sub(r"^((?:[^,]*,){6})\d+\.\d{3},", r"\1-,", out.getvalue(), flags=re.M)
+    text = re.sub(r"(mean_ms|total_ms|avg_ms)=\d+\.\d{3}", r"\1=-", text)
+    expected = re.sub(
+        r"\{(\d),(\d)\}",
+        lambda m: GOLDEN_PATHS[int(m[1]), int(m[2])] if mode == "spath" else "",
+        GOLDEN_REPORT.replace("{mode}", mode),
+    )
+    assert text == expected.replace("<C:", "<http://example.org/chain/")
+
+
 # -- one search per source against one search per pair ----------------------
 
 
@@ -220,6 +268,16 @@ def batch_corpus(make_store):
     return store, triples, pairs
 
 
+def shared_prefix_corpus(make_store):
+    """``(a, p, p), (p, q, b)`` and a branch ``(p, r, c)``, with every node
+    past ``a`` asked of ``a``: ``p`` is entered as a predicate and then
+    expanded as a subject, so it starts a path prefix the targets share."""
+    triples = [Triple(ex("a"), ex("p"), ex("p")), Triple(ex("p"), ex("q"), ex("b")), Triple(ex("p"), ex("r"), ex("c"))]
+    store = make_store(triples)
+    a, p, q, b, c = (store.resolve(ex(n)) for n in "apqbc")
+    return store, triples, [(a, p), (a, q), (a, b), (a, c)]
+
+
 def per_pair_rows(store, pairs, model, max_dist=None):
     """The reference: one ``shortest_path`` call per pair, in a plain loop."""
     rows = []
@@ -230,7 +288,7 @@ def per_pair_rows(store, pairs, model, max_dist=None):
             rows.append((source, target, "error", None, None, 0, str(exc)))
             continue
         rows.append((source, target, r.status.value, r.distance, r.resource_path, r.nodes_explored, None))
-    return sorted(rows, key=lambda row: row[:2])  # stable, like the batch's sort
+    return sorted(rows, key=lambda row: row[:2])  # stable: duplicates keep input order
 
 
 def batch_rows(report):
@@ -243,11 +301,13 @@ def batch_rows(report):
 @pytest.mark.parametrize("model", [Model.LDM3N, Model.NLAN])
 @pytest.mark.parametrize("max_dist,workers", [(None, 1), (None, 3), (6, 1), (2, 1)])
 def test_per_source_batch_equals_per_pair_search(make_store, model, max_dist, workers):
-    store, _, pairs = batch_corpus(make_store)
-    report = run_batch(store, pairs, model, "spath", workers=workers, max_dist=max_dist)
-    rows = batch_rows(report)
-    assert rows == per_pair_rows(store, pairs, model, max_dist)
-    assert len(rows) == len(pairs)
+    for corpus in (shared_prefix_corpus, batch_corpus):
+        store, _, pairs = corpus(make_store)
+        report = run_batch(store, pairs, model, "spath", workers=workers, max_dist=max_dist)
+        rows = batch_rows(report)
+        assert rows == per_pair_rows(store, pairs, model, max_dist)
+        assert len(rows) == len(pairs)
+        assert all(len(row[4]) == row[3] + 1 for row in rows if row[2] == "found")
     statuses = {row[2] for row in rows}
     assert statuses >= {"found", "error"}
     if max_dist == 6 and model is Model.LDM3N:
