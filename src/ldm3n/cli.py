@@ -15,7 +15,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from . import harness, semantics, storage
+from . import semantics, storage
 from .errors import Ldm3nError, MalformedLine, StoreCorrupt
 from .ntriples import parse_ntriples
 from .semantics import Rule, StoreView, Vocabulary, resolve_vocabulary
@@ -198,6 +198,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import harness
+
     store, view = _open_view(args)
     with open(args.pairs, "r", encoding="utf-8") as f:
         pairs = harness.read_pairs_csv(f, store)

@@ -16,13 +16,19 @@ Batches run one shortest-path search per distinct source, which stops once
 every target asked of that source has been popped; each pair's distance,
 ``nodes_explored`` and ``elapsed_ms`` are fixed when its target pops, so
 they equal the answer of a search for that pair alone, and the timing ends
-exactly at that pop. Paths are rebuilt after the search from its tree of
-relaxing triples, each tree edge once per source, however many targets
-share it. Sources run one after another on the calling thread; the
-``workers`` count is accepted and echoed in the report, so every non-timing
-output is the same for any count. Reach batches keep status, distance and
-``nodes_explored`` but rebuild no paths. A group's ordered pairs are a lazy
-view over its members, so memory stays linear in the group size.
+exactly at that pop. Resource paths are rebuilt after the search from its
+tree of relaxing triples, each tree edge once per source, however many
+targets share it; batches build no triple paths. Sources run one after
+another on the calling thread; the ``workers`` count is accepted and echoed
+in the report, so every non-timing output is the same for any count.
+Reach batches keep status, distance and ``nodes_explored`` but rebuild no
+paths. A group's ordered pairs are a lazy view over its members, so memory
+stays linear in the group size.
+
+Reports are written one row at a time. A row whose fields hold no ``,``,
+``"``, ``\\r`` or ``\\n`` is joined and written as it is; only a row that
+needs quoting (a literal token, an IRI or error message with a comma) goes
+through ``csv.writer``, which writes the same bytes for the other rows.
 """
 
 from __future__ import annotations
@@ -191,7 +197,8 @@ class BatchReport:
 
     @property
     def reachable_count(self) -> int:
-        return sum(1 for r in self.records if r.status == PathStatus.FOUND.value)
+        found = PathStatus.FOUND.value  # one enum lookup, not one per record
+        return sum(1 for r in self.records if r.status == found)
 
     @property
     def average_elapsed_ms(self) -> float:
@@ -202,6 +209,9 @@ class BatchReport:
 
         ``dictionary`` (a Dictionary or a Store) renders each distinct issued
         term id once per call, as its stored token; other ids print as numbers.
+        A row whose joined line holds exactly seven commas and no ``"``,
+        ``\\r`` or ``\\n`` needs no quoting and is written as that line; any
+        other row goes through ``csv.writer``.
         """
 
         @cache
@@ -214,19 +224,23 @@ class BatchReport:
         writer.writerow(
             ["source", "target", "model", "status", "distance", "nodes_explored", "elapsed_ms", "path"]
         )
-        writer.writerows(
-            [
+        write, quoted = out.write, writer.writerow
+        for r in self.records:
+            row = (
                 name(r.source),
                 name(r.target),
                 r.model.value,
                 r.status,
-                r.distance,  # None is written as ""
-                r.nodes_explored,
+                "" if r.distance is None else str(r.distance),
+                str(r.nodes_explored),
                 f"{r.elapsed_ms:.3f}",
                 r.error if r.error is not None else "/".join(map(name, r.path)) if r.path else "",
-            ]
-            for r in self.records
-        )
+            )
+            line = ",".join(row)
+            if line.count(",") == 7 and '"' not in line and "\r" not in line and "\n" not in line:
+                write(line + "\r\n")
+            else:
+                quoted(row)
         for d, (count, mean_ms) in self.per_distance.items():
             out.write(f"# distance {d}: count={count} mean_ms={mean_ms:.3f}\n")
         out.write(
@@ -272,7 +286,7 @@ def run_batch(
         targets = sorted(by_source[source])
         live = [t for t in targets if store.is_issued(t)] if store.is_issued(source) else []
         found, via = _dijkstra(store, source, live, model, max_dist) if live else ({}, {})
-        memo = {source: ([source], [])}
+        memo = {source: [source]}
         for target in targets:
             if target not in found:  # an endpoint was never issued, so this raises
                 try:
@@ -285,7 +299,7 @@ def run_batch(
             if distance is None:
                 records.append(QueryRecord(source, target, model, "unreachable", None, explored, elapsed_ms, None))
                 continue
-            path = _rebuild(via, memo, target, ldm3n)[0] if paths else None
+            path = _rebuild(via, memo, target, ldm3n) if paths else None
             records.append(QueryRecord(source, target, model, "found", distance, explored, elapsed_ms, path))
             found_ms.setdefault(distance, []).append(elapsed_ms)
     total_ms = (time.perf_counter() - started) * 1000.0

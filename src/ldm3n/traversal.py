@@ -129,14 +129,11 @@ def _dijkstra(
     return results, via
 
 
-Paths = tuple[list[int], list[tuple[int, int, int]]]
+def _rebuild(via: dict[int, tuple[int, int, int]], memo: dict[int, list[int]], node: int, ldm3n: bool) -> list[int]:
+    """The resource path from the search's source to ``node``.
 
-
-def _rebuild(via: dict[int, tuple[int, int, int]], memo: dict[int, Paths], node: int, ldm3n: bool) -> Paths:
-    """The resource path and triple path from the search's source to ``node``.
-
-    ``memo`` maps each node already rebuilt from this search to its paths
-    and starts as ``{source: ([source], [])}``. The walk goes back along
+    ``memo`` maps each node already rebuilt from this search to its resource
+    path and starts as ``{source: [source]}``. The walk goes back along
     ``via`` to the nearest memoized node and memoizes every node on the way
     forward, so targets that share a prefix walk it once. Each path is a
     new list, since later paths extend it.
@@ -151,13 +148,12 @@ def _rebuild(via: dict[int, tuple[int, int, int]], memo: dict[int, Paths], node:
     while node not in memo:
         walk.append(node)
         node = via[node][0]
-    nodes, triples = memo[node]
+    nodes = memo[node]
     for cur in reversed(walk):
         triple = via[cur]
         nodes = nodes + ([triple[1], cur] if ldm3n and cur != triple[1] else [cur])
-        triples = triples + [triple]
-        memo[cur] = nodes, triples
-    return nodes, triples
+        memo[cur] = nodes
+    return nodes
 
 
 def dijkstra_ldm3n(store, source: int, target: int, max_dist: int | None = None) -> PathQueryResult:
@@ -184,7 +180,14 @@ def shortest_path(
     distance, explored, elapsed = found[target]
     if distance is None:
         return PathQueryResult(PathStatus.UNREACHABLE, None, None, None, explored, elapsed)
-    nodes, triples = _rebuild(via, {source: ([source], [])}, target, model is Model.LDM3N)
+    nodes = _rebuild(via, {source: [source]}, target, model is Model.LDM3N)
+    # The triple path is the chain of relaxing triples back to the source.
+    triples: list[tuple[int, int, int]] = []
+    node = target
+    while node != source:
+        triples.append(via[node])
+        node = via[node][0]
+    triples.reverse()
     return PathQueryResult(PathStatus.FOUND, distance, nodes, triples, explored, elapsed)
 
 

@@ -433,10 +433,11 @@ def test_bench_with_derived_matches_spath(derived_store, tmp_path, capsys):
             assert row[:6] + row[7:] == next(csv.reader([capsys.readouterr().out]))
 
 
-@pytest.mark.parametrize("module", ["concurrent.futures", "xml.etree.ElementTree"])
+@pytest.mark.parametrize("module", ["concurrent.futures", "xml.etree.ElementTree", "ldm3n.harness"])
 def test_cli_import_leaves_module_unloaded(module):
     # Batches run on the calling thread, so no CLI process needs the pool;
-    # only flag_xml_literals parses XML, and it imports the parser itself.
+    # only flag_xml_literals parses XML, and it imports the parser itself;
+    # only bench runs batches, and it imports the harness itself.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     probe = f"import sys, ldm3n.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)

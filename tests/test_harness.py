@@ -5,13 +5,16 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ldm3n import Literal, Model, Triple, dijkstra_ldm3n, dijkstra_nlan, forward_transform, shortest_path
 from ldm3n.errors import Ldm3nError, UnknownNode, UnknownProperty
 from ldm3n.harness import (
     GENERIC_POSITION_PROPERTY,
+    BatchReport,
     ChainSpec,
     PairGroup,
+    QueryRecord,
     chain_members,
     generate_pairs,
     generate_successor_chain,
@@ -225,6 +228,47 @@ source,target,model,status,distance,nodes_explored,elapsed_ms,path\r
 """
 
 
+# The literal token "a, \"b\"" as a quoted CSV field, its quotes doubled.
+QUOTED_LITERAL = '"""a, \\""b\\"""""'
+
+QUOTED_PATHS = {
+    (1, 1): QUOTED_LITERAL,
+    (2, 1): '"<E:s>/<E:q>/<E:x,y>/<E:p>/""a, \\""b\\"""""',
+    (2, 3): '"<E:s>/<E:q>/<E:x,y>"',
+    (3, 1): '"<E:x,y>/<E:p>/""a, \\""b\\"""""',
+}
+
+# Endpoints and paths that hold the literal or an IRI with a comma: each
+# such field is quoted. {L} is the literal's field.
+QUOTED_REPORT = """\
+source,target,model,status,distance,nodes_explored,elapsed_ms,path\r
+{L},{L},ldm3n,found,0,1,-,{1,1}\r
+{L},<E:s>,ldm3n,unreachable,,1,-,\r
+<E:s>,{L},ldm3n,found,4,5,-,{2,1}\r
+<E:s>,"<E:x,y>",ldm3n,found,2,3,-,{2,3}\r
+"<E:x,y>",{L},ldm3n,found,2,3,-,{3,1}\r
+# distance 0: count=1 mean_ms=-
+# distance 2: count=2 mean_ms=-
+# distance 4: count=1 mean_ms=-
+# summary: pairs=5 reachable=4 total_ms=- avg_ms=- workers=1 model=ldm3n mode={mode}
+"""
+
+
+def cut_timing(text: str) -> str:
+    """Report text with each row's ``elapsed_ms`` and the trailer timings
+    replaced by ``-``. No token in these corpora holds ``,<digits>.<3 digits>,``."""
+    text = re.sub(r",\d+\.\d{3},", ",-,", text)
+    return re.sub(r"(mean_ms|total_ms|avg_ms)=\d+\.\d{3}", r"\1=-", text)
+
+
+def golden(template: str, paths: dict, mode: str) -> str:
+    return re.sub(
+        r"\{(\d),(\d)\}",
+        lambda m: paths[int(m[1]), int(m[2])] if mode == "spath" else "",
+        template.replace("{mode}", mode),
+    )
+
+
 @pytest.mark.parametrize("mode", ["spath", "reach"])
 def test_report_csv_golden(make_store, mode):
     # Row order, line ends, quoting and the trailer, with every timing cut.
@@ -235,14 +279,72 @@ def test_report_csv_golden(make_store, mode):
     pairs = [*group.pairs, (m2, m2), (m1, m3), (0, m2), (m3, 424242)]
     out = io.StringIO()
     run_batch(store, pairs, Model.LDM3N, mode).write_csv(out, store)
-    text = re.sub(r"^((?:[^,]*,){6})\d+\.\d{3},", r"\1-,", out.getvalue(), flags=re.M)
-    text = re.sub(r"(mean_ms|total_ms|avg_ms)=\d+\.\d{3}", r"\1=-", text)
-    expected = re.sub(
-        r"\{(\d),(\d)\}",
-        lambda m: GOLDEN_PATHS[int(m[1]), int(m[2])] if mode == "spath" else "",
-        GOLDEN_REPORT.replace("{mode}", mode),
+    expected = golden(GOLDEN_REPORT, GOLDEN_PATHS, mode)
+    assert cut_timing(out.getvalue()) == expected.replace("<C:", "<http://example.org/chain/")
+
+    label = Literal('a, "b"')
+    store = make_store([Triple(ex("s"), ex("q"), ex("x,y")), Triple(ex("x,y"), ex("p"), label)])
+    s, xy, lit = (store.resolve(t) for t in (ex("s"), ex("x,y"), label))
+    out = io.StringIO()
+    run_batch(store, [(s, lit), (s, xy), (xy, lit), (lit, s), (lit, lit)], Model.LDM3N, mode).write_csv(out, store)
+    expected = golden(QUOTED_REPORT, QUOTED_PATHS, mode).replace("{L}", QUOTED_LITERAL)
+    assert cut_timing(out.getvalue()) == expected.replace("<E:", "<http://example.org/")
+
+
+class TokenTable:
+    """Ids 1..n issued, each rendered as an arbitrary token."""
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+
+    def is_issued(self, term_id: int) -> bool:
+        return 1 <= term_id <= len(self.tokens)
+
+    def token(self, term_id: int) -> str:
+        return self.tokens[term_id - 1]
+
+
+# Text that often holds what CSV must quote, and often does not.
+csv_text = st.text(st.one_of(st.sampled_from(',"\r\n/ '), st.characters()), max_size=8)
+
+
+@st.composite
+def reports(draw):
+    tokens = draw(st.lists(csv_text, min_size=1, max_size=6))
+    ids = st.integers(0, len(tokens) + 1)  # 0 and len + 1 were never issued
+    records = draw(st.lists(st.builds(
+        QueryRecord,
+        source=ids,
+        target=ids,
+        model=st.sampled_from(Model),
+        status=st.sampled_from(["found", "unreachable", "error"]),
+        distance=st.none() | st.integers(0, 10**6),
+        nodes_explored=st.integers(0, 10**6),
+        elapsed_ms=st.floats(0, 1e6),
+        path=st.none() | st.lists(ids, max_size=5),
+        error=st.none() | csv_text,
+    ), max_size=6))
+    return TokenTable(tokens), BatchReport(Model.LDM3N, "spath", 1, records, 0.0)
+
+
+@given(reports())
+def test_report_rows_equal_csv_writer_rows(drawn):
+    # Rows that need no quoting skip csv.writer; the bytes must not show it.
+    table, report = drawn
+    name = lambda n: table.token(n) if table.is_issued(n) else str(n)
+    ref = io.StringIO()
+    writer = csv.writer(ref)
+    writer.writerow(["source", "target", "model", "status", "distance", "nodes_explored", "elapsed_ms", "path"])
+    writer.writerows(
+        [name(r.source), name(r.target), r.model.value, r.status, r.distance, r.nodes_explored,
+         f"{r.elapsed_ms:.3f}", r.error if r.error is not None else "/".join(map(name, r.path or []))]
+        for r in report.records
     )
-    assert text == expected.replace("<C:", "<http://example.org/chain/")
+    out = io.StringIO()
+    report.write_csv(out, table)
+    text, want = out.getvalue(), ref.getvalue()
+    assert text[: len(want)] == want
+    assert text[len(want) :].startswith("# summary: ") and text[len(want) :].count("\n") == 1
 
 
 # -- one search per source against one search per pair ----------------------
