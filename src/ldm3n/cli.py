@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
-from . import semantics, storage
+from . import storage
 from .errors import Ldm3nError, MalformedLine, StoreCorrupt
 from .ntriples import parse_ntriples
-from .semantics import Rule, StoreView, Vocabulary, resolve_vocabulary
 from .terms import format_term, parse_term
 from .traversal import Model, shortest_path
 
@@ -81,26 +81,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _vocab(args) -> Vocabulary:
-    return Vocabulary().with_singleton(
-        getattr(args, "singleton_prop", None), getattr(args, "singleton_class", None)
-    )
+def _vocab(args):
+    from .semantics import Vocabulary  # only the commands that use semantics import it
+
+    return Vocabulary().with_singleton(args.singleton_prop, args.singleton_class)
 
 
 def _singletons(args, store, view) -> set[int]:
     """Ids ``view`` declares singleton, under the command's vocabulary."""
-    resolved = resolve_vocabulary(store.dictionary, _vocab(args))
-    return semantics.classify_singleton_properties(view, resolved)
+    from .semantics import classify_singleton_properties, resolve_vocabulary
+
+    return classify_singleton_properties(view, resolve_vocabulary(store.dictionary, _vocab(args)))
 
 
-def _singleton_violations(args, store, view) -> list[semantics.SingletonViolation]:
-    singletons = _singletons(args, store, view)
-    return semantics.validate_singleton_uniqueness(view, singletons, strict=args.strict_singletons)
+def _singleton_violations(args, store, view) -> list:
+    from .semantics import validate_singleton_uniqueness
+
+    return validate_singleton_uniqueness(view, _singletons(args, store, view), strict=args.strict_singletons)
 
 
 def _open_view(args):
     store = storage.open_store(args.store)
     if getattr(args, "with_derived", False) and store.delta:
+        from .semantics import StoreView
+
         return store, StoreView(store, store.delta)
     return store, store
 
@@ -120,10 +124,7 @@ def _cmd_load(args) -> int:
             source.close()
     writer = csv.writer(sys.stdout)
     writer.writerow(["metric", "value"])
-    writer.writerow(["triples", report.triples])
-    writer.writerow(["distinct_terms", report.distinct_terms])
-    writer.writerow(["duplicates", report.duplicates])
-    writer.writerow(["literals", report.literals])
+    writer.writerows(asdict(report).items())
     writer.writerow(["malformed_lines", len(errors)])
     for err in errors:
         print(f"skipped {err}", file=sys.stderr)
@@ -158,8 +159,10 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_entail(args) -> int:
+    from . import semantics
+
     store = storage.open_store(args.store)
-    rules = [Rule(name.strip()) for name in args.rules.split(",") if name.strip()]
+    rules = [semantics.Rule(name.strip()) for name in args.rules.split(",") if name.strip()]
     result = semantics.entail_fixpoint(store, rules, _vocab(args), max_derived=args.max_derived)
 
     # Re-validate singleton uniqueness against the materialized view; derived

@@ -6,43 +6,45 @@ optional ``delta``, written by ``save_delta``. Each file starts with a
 section table, u32 section count) and a table of 24-byte entries (u64
 offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
 
-    base    meta                    JSON: the load report
-            even_off, even_tok      term table of the even ids 2, 4, 6, ...:
+    base    even_off, even_tok      term table of the even ids 2, 4, 6, ...:
             odd_off, odd_tok        token i is tok[off[i]:off[i + 1]], and
                                     likewise for the odd ids 1, 3, 5, ...
             by_token                every id, sorted by token bytes
             rows                    CSR row starts, indexed by id // 2 - 1
-            s, p, o                 the distinct triples, sorted by (s, p, o)
+            p, o                    the distinct triples, sorted by (s, p, o);
+                                    row i holds those of subject 2 * (i + 1)
     delta   base                    CRC-32 of base's section table
             even_off ... odd_tok    tokens of terms minted by entailment,
                                     whose ids continue each parity
             s, p, o                 derived triples, in derivation order
 
 Integer sections are little-endian with itemsize 4, or 8 when a value needs
-it. Opening a store checks every CRC, that ``rows`` never decreases and that
-every id of ``by_token``, ``s``, ``p`` and ``o`` was issued (and, in
-``base``, that no subject or predicate is a literal), then takes views of
-the bytes: no term is parsed until it is decoded. The initial/terminal edge
-pair of each triple is implicit in its row, so the same rows serve both
-traversal models. Loading dedups exact duplicates (set semantics), and
-each row is sorted by (pred, obj) so every downstream answer is
-deterministic. Both files are written to a temporary name, synced to disk
-and then renamed into place, and the directory is synced after each rename
-and unlink; ``base`` is never rewritten. After load the store is read-only
-and safe to share across concurrent query workers.
+it. A base triple's subject is not stored: ``rows`` implies it. Nor is the
+load report, which ``load`` prints; the counts are the sections' sizes.
+Stores of versions 1 to 3 are refused with a message to reload them.
+Opening a store checks every CRC, that ``rows`` never decreases and ends at
+the length of ``p`` and ``o``, and that every id of ``by_token`` and of the
+triple columns was issued (and, in ``base``, that no predicate is a
+literal), then takes views of the bytes: no term is parsed until it is
+decoded. The initial/terminal edge pair of each triple is implicit in its
+row, so the same rows serve both traversal models. Loading dedups exact
+duplicates (set semantics), and each row is sorted by (pred, obj) so every
+downstream answer is deterministic. Both files are written to a temporary
+name, synced to disk and then renamed into place, and the directory is
+synced after each rename and unlink; ``base`` is never rewritten. After load
+the store is read-only and safe to share across concurrent query workers.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import sys
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
-from itertools import accumulate, compress
+from dataclasses import dataclass, field
+from itertools import accumulate, compress, islice
 from operator import le
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -52,14 +54,14 @@ from .errors import StoreCorrupt, UnknownNode
 from .terms import Term, Triple, format_term, parse_term
 
 MAGIC = b"LDM3N\0"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _HEADER = struct.Struct("<6sHII")
 _ENTRY = struct.Struct("<QQII")
 _COUNT = struct.Struct("<I")
 _TERM_SECTIONS = ("even_off", "even_tok", "odd_off", "odd_tok")
-_BASE_SECTIONS = ("meta", *_TERM_SECTIONS, "by_token", "rows", "s", "p", "o")
+_BASE_SECTIONS = (*_TERM_SECTIONS, "by_token", "rows", "p", "o")
 _DELTA_SECTIONS = ("base", *_TERM_SECTIONS, "s", "p", "o")
-_BYTE_SECTIONS = {"meta", "even_tok", "odd_tok"}
+_BYTE_SECTIONS = {"even_tok", "odd_tok"}
 _CODES = {4: "I", 8: "Q"}
 _LITTLE = sys.byteorder == "little"
 # Byte translations: 1 for an odd byte, and 1 for a 0 byte.
@@ -87,34 +89,29 @@ class LoadReport:
 
 @dataclass
 class Store:
-    """An opened store: dictionary, CSR columns, load report and derived delta.
+    """An opened store: dictionary, CSR columns and derived delta.
 
     Row ``i`` holds the triples of subject ``2 * (i + 1)``: positions
-    ``rows[i]`` to ``rows[i + 1]`` of the ``s``, ``p`` and ``o`` columns.
+    ``rows[i]`` to ``rows[i + 1]`` of the ``p`` and ``o`` columns.
     """
 
     config: StoreConfig
     dictionary: Dictionary
-    report: LoadReport
     rows: Sequence[int]
-    s: Sequence[int]
     p: Sequence[int]
     o: Sequence[int]
     delta: list[tuple[int, int, int]] = field(default_factory=list)
     base_crc: int = 0
+    # The subject of each position of ``p`` and ``o``, built from ``rows`` by
+    # the first ``iter_triples``; not a cached_property, since writing through
+    # ``__dict__`` slows every attribute read in ``neighbors`` (CPython 3.11).
+    _subjects: Sequence[int] | None = field(default=None, init=False, repr=False)
 
     # -- query surface shared with semantics.StoreView ------------------
-
-    def _row(self, node: int) -> tuple[int, int]:
-        i = node >> 1
-        if node & 1 or not 0 < i < len(self.rows):
-            return 0, 0
-        return self.rows[i - 1], self.rows[i]
 
     def neighbors(self, node: int) -> list[tuple[int, int]]:
         """All (pred, obj) pairs under ``node``, sorted, as a new list; [] for
         sinks and unknown ids."""
-        # _row inlined: this is the traversal's innermost call.
         rows = self.rows
         i = node >> 1
         if node & 1 or not 0 < i < len(rows):
@@ -124,12 +121,23 @@ class Store:
         return list(zip(self.p[a:b], self.o[a:b]))
 
     def iter_triples(self) -> Iterator[tuple[int, int, int]]:
-        return zip(self.s, self.p, self.o)
+        if self._subjects is None:
+            # Each row start moves the subject on to the next even id.
+            steps = [0] * (len(self.p) + 1)
+            for start in self.rows[1:]:
+                steps[start] += 2
+            subjects = accumulate(islice(steps, len(self.p)), initial=2)
+            next(subjects)
+            self._subjects = array("Q", subjects)
+        return zip(self._subjects, self.p, self.o)
 
     def contains(self, s: int, p: int, o: int) -> bool:
-        a, b = self._row(s)
-        a = bisect_left(self.p, p, a, b)
-        b = bisect_right(self.p, p, a, b)
+        rows = self.rows
+        i = s >> 1
+        if s & 1 or not 0 < i < len(rows):
+            return False
+        a = bisect_left(self.p, p, rows[i - 1], rows[i])
+        b = bisect_right(self.p, p, a, rows[i])
         i = bisect_left(self.o, o, a, b)
         return i < b and self.o[i] == o
 
@@ -137,7 +145,7 @@ class Store:
         return self.dictionary.is_issued(term_id)
 
     def triple_count(self) -> int:
-        return self.report.triples
+        return len(self.p)
 
     def token(self, term_id: int) -> str:
         """The stored N-Triples token of an id, unparsed."""
@@ -196,12 +204,10 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     for subject in s:
         rows[subject >> 1] += 1
     sections = [
-        (json.dumps(asdict(report)).encode("utf-8"), 1),
         *_term_sections(even),
         *_term_sections(odd),
         _int_section(by_token),
         _int_section(list(accumulate(rows))),
-        _int_section(s),
         _int_section(p),
         _int_section(o),
     ]
@@ -422,14 +428,13 @@ def _check_ids(f: _File, name: str, column: Sequence[int], dictionary: Dictionar
     )
 
 
-def _columns(f: _File, n: int | None = None) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
-    s, p, o = (f.ints(name) for name in "spo")
-    if n is None:
-        n = len(s)
-    for name, column in zip("spo", (s, p, o)):
-        if len(column) != n:
-            raise f.fail(name, f"{len(column)} ids, expected {n}")
-    return s, p, o
+def _columns(f: _File, names: str) -> list[Sequence[int]]:
+    """The triple columns ``names``, which must be of one length."""
+    columns = [f.ints(name) for name in names]
+    for name, column in zip(names, columns):
+        if len(column) != len(columns[0]):
+            raise f.fail(name, f"{len(column)} ids, expected {len(columns[0])}")
+    return columns
 
 
 def open_store(path: Path | str) -> Store:
@@ -439,26 +444,17 @@ def open_store(path: Path | str) -> Store:
         # Stores before version 3 kept their load report in ``meta``.
         _read_file(path / "meta", ())
     base = _read_file(path / "base", _BASE_SECTIONS)
-    at, length, _ = base.sections["meta"]
-    try:
-        report = LoadReport(**json.loads(base.data[at : at + length]))
-    except (ValueError, TypeError) as exc:
-        raise base.fail("meta", f"not a load report: {exc}") from None
-
     tables = (base.table("even"), base.table("odd"))
     _check_tables(base, tables)
     by_token = base.ints("by_token")
     dictionary = Dictionary(tables, by_token)
-    if (report.distinct_terms, report.literals) != (len(dictionary), dictionary.literal_count()):
-        raise base.fail("meta", f"{report.distinct_terms} terms and {report.literals} literals,"
-                                f" but the term tables hold {len(dictionary)} and {dictionary.literal_count()}")
     if len(by_token) != len(dictionary):
         raise base.fail("by_token", f"{len(by_token)} ids, expected {len(dictionary)}")
     _check_ids(base, "by_token", by_token, dictionary)
     rows = base.ints("rows")
-    s, p, o = _columns(base, report.triples)
-    if len(rows) != len(tables[0]) + 1 or rows[0] != 0 or rows[-1] != report.triples:
-        raise base.fail("rows", f"expected {len(tables[0]) + 1} row starts from 0 to {report.triples}")
+    p, o = _columns(base, "po")
+    if len(rows) != len(tables[0]) + 1 or rows[0] != 0 or rows[-1] != len(p):
+        raise base.fail("rows", f"expected {len(tables[0]) + 1} row starts from 0 to {len(p)}")
     if not all(map(le, rows, rows[1:])):
         # A row would otherwise hold other subjects' triples, or end past
         # the columns.
@@ -466,11 +462,12 @@ def open_store(path: Path | str) -> Store:
         i = next(i for i in range(1, len(rows)) if rows[i] < rows[i - 1])
         raise StoreCorrupt(f"{base.path}: section rows: row start {rows[i]} follows {rows[i - 1]},"
                            f" at byte offset {at + i * itemsize}")
-    # Base triples come from parsed statements, whose subject and predicate
-    # are never literals; derived ones may have a literal anywhere (RANGE
-    # over a literal-valued property gives a literal subject).
-    for name, column in zip("spo", (s, p, o)):
-        _check_ids(base, name, column, dictionary, literals=name == "o")
+    # Base triples come from parsed statements, whose predicate is never a
+    # literal (nor is the subject, which only even ids' rows imply); derived
+    # ones may have a literal anywhere (RANGE over a literal-valued property
+    # gives a literal subject).
+    _check_ids(base, "p", p, dictionary, literals=False)
+    _check_ids(base, "o", o, dictionary)
 
     delta: list[tuple[int, int, int]] = []
     if (path / "delta").exists():
@@ -487,9 +484,9 @@ def open_store(path: Path | str) -> Store:
                     dictionary.issue(table.raw(i).decode("utf-8"), bool(literal))
                 except UnicodeDecodeError as exc:
                     raise f.fail(("even_tok", "odd_tok")[literal], f"token {i}: {exc}") from None
-        columns = _columns(f)
+        columns = _columns(f, "spo")
         for name, column in zip("spo", columns):
             _check_ids(f, name, column, dictionary)
         delta = list(zip(*columns))
 
-    return Store(StoreConfig(path), dictionary, report, rows, s, p, o, delta=delta, base_crc=base.crc)
+    return Store(StoreConfig(path), dictionary, rows, p, o, delta=delta, base_crc=base.crc)

@@ -12,7 +12,7 @@ import zlib
 HEADER = struct.Struct("<6sHII")
 ENTRY = struct.Struct("<QQII")
 NAMES = {
-    "base": ("meta", "even_off", "even_tok", "odd_off", "odd_tok", "by_token", "rows", "s", "p", "o"),
+    "base": ("even_off", "even_tok", "odd_off", "odd_tok", "by_token", "rows", "p", "o"),
     "delta": ("base", "even_off", "even_tok", "odd_off", "odd_tok", "s", "p", "o"),
 }
 
@@ -38,7 +38,7 @@ def pack(values: list[int], itemsize: int = 4) -> bytes:
     return struct.pack(f"<{len(values)}{'IQ'[itemsize // 8]}", *values)
 
 
-def rewrite(path, version: int = 3, **replace: tuple[bytes, int]) -> None:
+def rewrite(path, version: int = 4, **replace: tuple[bytes, int]) -> None:
     """Write ``path`` again with some sections replaced by (body, itemsize),
     every CRC recomputed."""
     bodies = {name: (body, itemsize) for name, (_, body, itemsize) in sections(path).items()}

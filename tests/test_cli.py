@@ -301,10 +301,10 @@ def test_empty_materialize_and_reload_drop_the_old_delta(derived_store, capsys):
     assert stats_triples(store, capsys) == "triples,4"
 
 
-# Where each case cuts the store: in the middle of base's subject column or
-# of its term tokens, or 30 bytes into delta, inside its section table. The
-# case names are those of the version-2 files that held each part.
-CUTS = {"adj": ("base", "s"), "dict_rev": ("base", "even_tok"), "delta": ("delta", None)}
+# Where each case cuts the store: in the middle of base's predicate column
+# or of its term tokens, or 30 bytes into delta, inside its section table.
+# The case names are those of the version-2 files that held each part.
+CUTS = {"adj": ("base", "p"), "dict_rev": ("base", "even_tok"), "delta": ("delta", None)}
 
 
 @pytest.mark.parametrize("name", ["adj", "delta", "dict_rev"])
@@ -344,14 +344,17 @@ def test_materialize_leaves_adj_untouched(tmp_path, capsys):
     assert stats_triples(store, capsys) == "triples,5"
 
 
-def test_version_one_store_exits_three(loaded_store, capsys):
+@pytest.mark.parametrize("version", [1, 3])
+def test_version_one_store_exits_three(loaded_store, capsys, version):
+    # Version 3 stored each subject in an ``s`` section and the load report in ``meta``.
     for path in loaded_store.iterdir():
         body = path.read_bytes()[12:]
-        path.write_bytes(struct.pack("<6sHB", b"LDM3N\0", 1, 0) + body)
+        path.write_bytes(struct.pack("<6sHB", b"LDM3N\0", version, 0) + body)
     code = main(["stats", "--store", str(loaded_store)])
     err = capsys.readouterr().err
     assert code == 3
-    assert "unsupported format version 1" in err and "Traceback" not in err
+    assert f"unsupported format version {version}" in err and "reload the store" in err
+    assert "Traceback" not in err
 
 
 def test_load_rejects_removed_flags(tmp_path, fixture_nt):
@@ -433,11 +436,15 @@ def test_bench_with_derived_matches_spath(derived_store, tmp_path, capsys):
             assert row[:6] + row[7:] == next(csv.reader([capsys.readouterr().out]))
 
 
-@pytest.mark.parametrize("module", ["concurrent.futures", "xml.etree.ElementTree", "ldm3n.harness"])
+@pytest.mark.parametrize(
+    "module", ["concurrent.futures", "xml.etree.ElementTree", "ldm3n.harness", "ldm3n.semantics", "json"]
+)
 def test_cli_import_leaves_module_unloaded(module):
     # Batches run on the calling thread, so no CLI process needs the pool;
     # only flag_xml_literals parses XML, and it imports the parser itself;
-    # only bench runs batches, and it imports the harness itself.
+    # only bench runs batches, and it imports the harness itself; only
+    # entail, validate, stats and --with-derived import semantics; and the
+    # store keeps no JSON.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     probe = f"import sys, ldm3n.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)

@@ -125,9 +125,10 @@ def test_undamaged_store_answers_as_the_oracle(pristine):
 
 
 # Each case damages the middle of one section: base's triple columns, term
-# tokens and load report, and delta's derived triples. The case names are
-# those of the version-2 files that held each part.
-PARTS = {"adj": ("base", "p"), "dict_rev": ("base", "even_tok"), "meta": ("base", "meta"), "delta": ("delta", "s")}
+# tokens and row starts, and delta's derived triples. The case names are
+# those of the version-2 files that held each part; "meta", whose load
+# report format 4 no longer stores, damages the row starts.
+PARTS = {"adj": ("base", "p"), "dict_rev": ("base", "even_tok"), "meta": ("base", "rows"), "delta": ("delta", "s")}
 
 
 @pytest.mark.parametrize("name", ["adj", "delta", "dict_rev", "meta"])

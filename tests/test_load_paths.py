@@ -103,8 +103,14 @@ def test_token_path_writes_the_bytes_of_the_object_path(lines):
     with tempfile.TemporaryDirectory() as tmp:
         by_tokens, by_terms = Path(tmp) / "tokens", Path(tmp) / "terms"
         load_triples(StoreConfig(by_tokens), parse_ntriples(text, strict=False))
-        create_store(StoreConfig(by_terms), triples)
+        store = create_store(StoreConfig(by_terms), triples)
         assert (by_tokens / "base").read_bytes() == (by_terms / "base").read_bytes()
+        # The subjects iter_triples reads off rows are those traversal sees,
+        # past rows left empty by ids that are never a subject.
+        stored = list(store.iter_triples())
+        assert stored == [(s, p, o) for s in store.dictionary.ids() for p, o in store.neighbors(s)]
+        lookup = store.dictionary.lookup
+        assert stored == sorted({(lookup(t.subject), lookup(t.predicate), lookup(t.object)) for t in triples})
     if messages:
         with pytest.raises(MalformedLine) as exc:
             list(parse_ntriples(text))

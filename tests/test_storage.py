@@ -27,11 +27,12 @@ def tokens(triples):
     return [(format_term(t.subject), format_term(t.predicate), format_term(t.object)) for t in triples]
 
 
-def test_succession_load_report_and_keys(succession_store):
-    store = succession_store
-    assert store.report.triples == 6
-    assert store.report.distinct_terms == 10
-    assert store.report.duplicates == 0
+def test_succession_load_report_and_keys(tmp_path, succession_triples):
+    _, report = load_triples(StoreConfig(tmp_path / "s"), tokens(succession_triples))
+    assert (report.triples, report.distinct_terms, report.duplicates) == (6, 10, 0)
+    store = open_store(tmp_path / "s")
+    assert store.triple_count() == 6
+    assert len(store.dictionary) == 10
     bc, h1, h2 = ids_for(store, "BillClinton", "holdsPos#1", "holdsPos#2")
     assert len(store.neighbors(bc)) == 2
     assert len(store.neighbors(h1)) == 2
@@ -40,16 +41,17 @@ def test_succession_load_report_and_keys(succession_store):
 
 def test_empty_input_empty_store(make_store):
     store = make_store([])
-    assert store.report.triples == 0
-    assert store.report.distinct_terms == 0
+    assert store.triple_count() == 0
+    assert len(store.dictionary) == 0
     assert list(store.iter_triples()) == []
 
 
 def test_duplicate_triples_collapse(tmp_path, succession_triples):
     doubled = succession_triples + [succession_triples[0]]
-    store = create_store(StoreConfig(tmp_path / "dup"), doubled)
-    assert store.report.triples == 6
-    assert store.report.duplicates == 1
+    _, report = load_triples(StoreConfig(tmp_path / "dup"), tokens(doubled))
+    assert report.triples == 6
+    assert report.duplicates == 1
+    assert open_store(tmp_path / "dup").triple_count() == 6
 
 
 def test_neighbors_of_succession_nodes(succession_store):
@@ -81,7 +83,7 @@ def test_pair_count_matches_brute_recount(make_store):
         recount[s] = recount.get(s, 0) + 1
     for key in list(store.dictionary.ids()):
         assert len(store.neighbors(key)) == recount.get(key, 0)
-    assert sum(recount.values()) == store.report.triples
+    assert sum(recount.values()) == store.triple_count()
 
 
 def test_neighbor_order_is_sorted(make_store):
@@ -98,7 +100,8 @@ def test_neighbor_order_is_sorted(make_store):
 def test_durability_round_trip(tmp_path, succession_triples):
     dictionary, report = load_triples(StoreConfig(tmp_path / "dur"), tokens(succession_triples))
     reopened = open_store(tmp_path / "dur")
-    assert reopened.report == report
+    assert reopened.triple_count() == report.triples
+    assert (len(reopened.dictionary), reopened.dictionary.literal_count()) == (report.distinct_terms, report.literals)
     encoded = sorted({tuple(dictionary.lookup(x) for x in (t.subject, t.predicate, t.object))
                       for t in succession_triples})
     assert list(reopened.iter_triples()) == encoded
@@ -117,7 +120,7 @@ def test_store_files_exist_with_magic(tmp_path, succession_triples):
     assert sorted(p.name for p in path.iterdir()) == ["base"]
     data = (path / "base").read_bytes()
     magic, version, table_crc, count = layout.HEADER.unpack_from(data)
-    assert (magic, version, count) == (b"LDM3N\0", 3, 10)
+    assert (magic, version, count) == (b"LDM3N\0", 4, 8)
     assert table_crc == zlib.crc32(data[12 : 16 + 24 * count])
     offset = 16 + 24 * count
     for i in range(count):
@@ -148,15 +151,15 @@ def test_crc_mismatch_names_file_offset_and_crcs(tmp_path, succession_triples):
     path = tmp_path / "crc"
     create_store(StoreConfig(path), succession_triples)
     base = path / "base"
-    at, body, _ = layout.sections(base)["s"]
+    at, body, _ = layout.sections(base)["p"]
     data = bytearray(base.read_bytes())
-    data[at] ^= 0x01  # low byte of the first subject id
+    data[at] ^= 0x01  # low byte of the first predicate id
     base.write_bytes(bytes(data))
     with pytest.raises(StoreCorrupt) as exc:
         open_store(path)
-    header_crc = layout.ENTRY.unpack_from(data, 16 + 24 * layout.NAMES["base"].index("s"))[3]
+    header_crc = layout.ENTRY.unpack_from(data, 16 + 24 * layout.NAMES["base"].index("p"))[3]
     assert str(exc.value) == (
-        f"{base}: CRC mismatch in section s, {len(body)} bytes at byte offset {at}:"
+        f"{base}: CRC mismatch in section p, {len(body)} bytes at byte offset {at}:"
         f" header says {header_crc:#010x}, section has {zlib.crc32(bytes(data[at : at + len(body)])):#010x}"
     )
 
@@ -191,16 +194,17 @@ def test_base_with_unissued_id_is_rejected(tmp_path, capsys):
     assert code == 3 and "id 424242 was never issued" in capsys.readouterr().err
 
 
-def test_literal_subject_in_base_is_rejected(tmp_path):
+def test_literal_predicate_in_base_is_rejected(tmp_path):
+    # A base subject cannot be a literal: only even ids own a row.
     path = tmp_path / "forged"
     store = create_store(StoreConfig(path), [Triple(ex("a"), ex("p"), Literal("v"))])
     v = store.resolve(Literal("v"))
     base = path / "base"
-    at = layout.sections(base)["s"][0]
-    layout.rewrite(base, s=(layout.pack([v]), 4))
+    at = layout.sections(base)["p"][0]
+    layout.rewrite(base, p=(layout.pack([v]), 4))
     with pytest.raises(StoreCorrupt) as exc:
         open_store(path)
-    assert str(exc.value) == f"{base}: section s: id {v} was never issued as a non-literal, at byte offset {at}"
+    assert str(exc.value) == f"{base}: section p: id {v} was never issued as a non-literal, at byte offset {at}"
 
 
 def test_delta_may_hold_literals_anywhere(tmp_path):
