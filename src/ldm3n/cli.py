@@ -133,8 +133,8 @@ def _cmd_load(args) -> int:
 
 def _cmd_query(args) -> int:
     store, view = _open_view(args)
-    source = store.resolve(parse_term(args.source))
-    target = store.resolve(parse_term(args.target))
+    terms = parse_term(args.source), parse_term(args.target)
+    source, target = map(store.resolve, terms)
     model = Model(args.model)
     result = shortest_path(view, source, target, model, args.max_dist)
 
@@ -142,8 +142,8 @@ def _cmd_query(args) -> int:
     if result.found:
         path = "/".join(format_term(store.decode(n)) for n in result.resource_path)
     row = [
-        store.token(source),
-        store.token(target),
+        # The lookups matched exactly these tokens.
+        *map(format_term, terms),
         model.value,
         ("reachable" if result.found else "unreachable")
         if args.command == "reach"

@@ -88,9 +88,6 @@ class Dictionary:
     def __len__(self) -> int:
         return (self._next_even - 2) // 2 + (self._next_odd - 1) // 2
 
-    def __contains__(self, term: Term) -> bool:
-        return self.lookup(term) is not None
-
     def encode(self, term: Term) -> int:
         """Return the id for ``term``, issuing the next one of its parity if new."""
         token = format_term(term)

@@ -49,7 +49,7 @@ from operator import le
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .dictionary import Dictionary, TermTable
+from .dictionary import MAX_ID, Dictionary, TermTable
 from .errors import StoreCorrupt, UnknownNode
 from .terms import Term, Triple, format_term, parse_term
 
@@ -148,23 +148,20 @@ class Store:
         return len(self.p)
 
     def token(self, term_id: int) -> str:
-        """The stored N-Triples token of an id, unparsed."""
-        try:
-            return self.dictionary.token(term_id)
-        except UnicodeDecodeError as exc:
-            raise self._bad_token(term_id, exc) from None
+        """The stored N-Triples token of an id; StoreCorrupt unless it parses."""
+        return self._read(term_id)[0]
 
     def decode(self, term_id: int) -> Term:
-        token = self.token(term_id)
-        try:
-            return parse_term(token)
-        except ValueError as exc:
-            raise self._bad_token(term_id, exc) from None
+        return self._read(term_id)[1]
 
-    def _bad_token(self, term_id: int, exc: Exception) -> StoreCorrupt:
-        name = "base" if self.dictionary.in_table(term_id) else "delta"
-        section = "odd_tok" if term_id & 1 else "even_tok"
-        return StoreCorrupt(f"{self.config.path / name}: section {section}: bad token of id {term_id}: {exc}")
+    def _read(self, term_id: int) -> tuple[str, Term]:
+        try:
+            token = self.dictionary.token(term_id)
+            return token, parse_term(token)
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            name = "base" if self.dictionary.in_table(term_id) else "delta"
+            section = "odd_tok" if term_id & 1 else "even_tok"
+            raise StoreCorrupt(f"{self.config.path / name}: section {section}: bad token of id {term_id}: {exc}") from None
 
     def resolve(self, term: Term) -> int:
         """Id for a term that must already be in the store; UnknownNode otherwise."""
@@ -181,35 +178,37 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     yields them and ``format_term`` prints them; a token is a literal iff it
     starts with ``"``. Every distinct input triple is stored exactly once;
     exact duplicates are counted in the report. An old ``delta`` is removed.
+
+    Triples are kept as packed keys, ``s << 128 | p << 64 | o``: no id exceeds
+    ``MAX_ID``, so the 64-bit fields never overlap and the keys sort as ``(s, p, o)``
+    does. Row ``i`` starts where bisection puts subject ``2 * (i + 1)`` among the keys.
     """
     dictionary = Dictionary()
     ids = dictionary.added_ids()
     get, issue = ids.get, dictionary.issue
-    seen: set[tuple[int, int, int]] = set()
+    seen: set[int] = set()
     add = seen.add
     total = 0
     for s, p, o in triples:
         # Ids start at 1, so a found id is never falsy.
-        add((get(s) or issue(s, s[0] == '"'),
-             get(p) or issue(p, p[0] == '"'),
-             get(o) or issue(o, o[0] == '"')))
+        add((get(s) or issue(s, s[0] == '"')) << 128
+            | (get(p) or issue(p, p[0] == '"')) << 64
+            | (get(o) or issue(o, o[0] == '"')))
         total += 1
     report = LoadReport(len(seen), len(dictionary), total - len(seen), dictionary.literal_count())
 
     # Code point order is the UTF-8 byte order that lookups bisect in.
     by_token = list(map(ids.__getitem__, sorted(ids)))
     even, odd = dictionary.added()
-    rows = [0] * (len(even) + 1)
-    s, p, o = zip(*sorted(seen)) if seen else ((), (), ())
-    for subject in s:
-        rows[subject >> 1] += 1
+    keys = sorted(seen)
+    seen.clear()  # the sorted keys hold every triple; free the set's table
     sections = [
         *_term_sections(even),
         *_term_sections(odd),
         _int_section(by_token),
-        _int_section(list(accumulate(rows))),
-        _int_section(p),
-        _int_section(o),
+        _int_section([bisect_left(keys, s << 128) for s in range(2, 2 * len(even) + 3, 2)]),
+        _int_section([key >> 64 & MAX_ID for key in keys]),
+        _int_section([key & MAX_ID for key in keys]),
     ]
     config.path.mkdir(parents=True, exist_ok=True)
     # The old delta goes first: a crash between the two steps leaves the

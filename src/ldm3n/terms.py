@@ -21,10 +21,6 @@ class Term:
 
     __slots__ = ()
 
-    @property
-    def is_literal(self) -> bool:
-        return isinstance(self, Literal)
-
 
 # Control characters, whitespace and the token delimiters; anything else
 # survives an angle-bracket round trip. The whitespace is what str.isspace

@@ -43,9 +43,9 @@ def succession_store(tmp_path, succession_triples):
 def make_store(tmp_path):
     counter = 0
 
-    def build(triples, **config_kwargs):
+    def build(triples):
         nonlocal counter
         counter += 1
-        return create_store(StoreConfig(tmp_path / f"store{counter}", **config_kwargs), triples)
+        return create_store(StoreConfig(tmp_path / f"store{counter}"), triples)
 
     return build

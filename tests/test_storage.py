@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import re
@@ -25,6 +26,34 @@ def ids_for(store, *names):
 def tokens(triples):
     """Triples as the token triples load_triples takes."""
     return [(format_term(t.subject), format_term(t.predicate), format_term(t.object)) for t in triples]
+
+
+# Canonical tokens, two triples given twice. Subject a gives its pairs out
+# of order, a literal holds escapes, a blank node is a subject, q is both a
+# predicate and a subject, and <last>, issued last, is only an object: its
+# row, the last, is empty.
+PINNED_TRIPLES = [
+    (f"<{EX}b>", f"<{EX}q>", f"<{EX}c>"),
+    (f"<{EX}a>", f"<{EX}q>", f"<{EX}c>"),
+    (f"<{EX}a>", f"<{EX}p>", '"say \\"hi\\"\\né"@en'),
+    (f"<{EX}a>", f"<{EX}p>", f"<{EX}b>"),
+    (f"<{EX}b>", f"<{EX}q>", f"<{EX}c>"),
+    ("_:n1", f"<{EX}q>", '"1"^^<http://www.w3.org/2001/XMLSchema#integer>'),
+    (f"<{EX}q>", f"<{EX}p>", "_:n1"),
+    (f"<{EX}a>", f"<{EX}p>", f"<{EX}b>"),
+    (f"<{EX}c>", f"<{EX}q>", f"<{EX}last>"),
+]
+
+
+def test_base_bytes_are_pinned(tmp_path):
+    _, report = load_triples(StoreConfig(tmp_path), PINNED_TRIPLES)
+    assert (report.triples, report.distinct_terms, report.duplicates, report.literals) == (7, 9, 2, 2)
+    base = tmp_path / "base"
+    _, rows, itemsize = layout.sections(base)["rows"]
+    assert layout.ints(rows, itemsize) == [0, 1, 2, 3, 6, 6, 7, 7]
+    assert hashlib.sha256(base.read_bytes()).hexdigest() == (
+        "eeefd52b8641c6615ae186407f6f39efab3cde53b6207457a74670d464e3bca1"
+    )
 
 
 def test_succession_load_report_and_keys(tmp_path, succession_triples):
@@ -304,6 +333,12 @@ def test_malformed_token_fails_on_decode(tmp_path, succession_triples, capsys):
     assert str(exc.value).startswith(f"{base}: section even_tok: bad token of id {h1}: unterminated IRI")
     code = main(["spath", "--store", str(path), "--model", "ldm3n",
                  "--source", f"<{EX}BillClinton>", "--target", f"<{EX}GeorgeWBush>"])
+    err = capsys.readouterr().err
+    assert code == 3 and f"bad token of id {h1}" in err and "Traceback" not in err
+    # bench renders path nodes as stored tokens, which are parsed first.
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"{EX}BillClinton,{EX}GeorgeWBush\n", encoding="utf-8")
+    code = main(["bench", "--store", str(path), "--mode", "spath", "--model", "ldm3n", "--pairs", str(pairs)])
     err = capsys.readouterr().err
     assert code == 3 and f"bad token of id {h1}" in err and "Traceback" not in err
 
