@@ -118,7 +118,7 @@ def _cmd_load(args) -> int:
     try:
         triples = parse_ntriples(source, strict=not args.lenient, errors=errors)
         config = storage.StoreConfig(args.store)
-        report = storage.load_triples(config, triples)[-1]
+        report = storage.load_triples(config, triples)
     finally:
         if source is not sys.stdin:
             source.close()

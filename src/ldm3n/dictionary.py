@@ -167,7 +167,8 @@ class Dictionary:
         return self._added_tokens
 
     def added_ids(self) -> dict[str, int]:
-        """Token -> id of the terms issued after the tables; read-only."""
+        """Token -> id of the terms issued after the tables; read-only while
+        the dictionary is in use."""
         return self._added
 
     def literal_count(self) -> int:

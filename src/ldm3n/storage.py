@@ -20,7 +20,10 @@ offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
 
 Integer sections are little-endian with itemsize 4, or 8 when a value needs
 it. A base triple's subject is not stored: ``rows`` implies it. Nor is the
-load report, which ``load`` prints; the counts are the sections' sizes.
+load report, which ``load_triples`` returns and ``load`` prints; the counts
+are the sections' sizes. Sections are written straight from the arrays that
+hold the integer columns and from the term tables' UTF-8 bytes in chunks of
+tokens, so no section is copied whole on its way to the file.
 Stores of versions 1 to 3 are refused with a message to reload them.
 Opening a store checks every CRC, that ``rows`` never decreases and ends at
 the length of ``p`` and ``o``, and that every id of ``by_token`` and of the
@@ -44,8 +47,8 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice
-from operator import le
+from itertools import accumulate, compress, islice, repeat
+from operator import and_, le, lshift, rshift
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -67,8 +70,10 @@ _LITTLE = sys.byteorder == "little"
 # Byte translations: 1 for an odd byte, and 1 for a 0 byte.
 _ODD = bytes(i & 1 for i in range(256))
 _NOT = bytes([1]) + bytes(255)
+# Tokens per chunk of a term table's bytes.
+_CHUNK = 1 << 14
 
-Section = tuple[bytes, int]  # body, itemsize
+Section = array | list[bytes]  # an integer column, or bytes in chunks
 
 
 @dataclass
@@ -171,7 +176,7 @@ class Store:
         return term_id
 
 
-def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -> tuple[Dictionary, LoadReport]:
+def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -> LoadReport:
     """Encode, dedup, index, and persist a sequence of token triples as ``base``.
 
     Each triple is three canonical N-Triples tokens, as ``parse_ntriples``
@@ -182,6 +187,8 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     Triples are kept as packed keys, ``s << 128 | p << 64 | o``: no id exceeds
     ``MAX_ID``, so the 64-bit fields never overlap and the keys sort as ``(s, p, o)``
     does. Row ``i`` starts where bisection puts subject ``2 * (i + 1)`` among the keys.
+    Once the input ends, what the load holds only shrinks: each column goes
+    straight into an array, and the token dict and the keys are freed first.
     """
     dictionary = Dictionary()
     ids = dictionary.added_ids()
@@ -198,18 +205,16 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     report = LoadReport(len(seen), len(dictionary), total - len(seen), dictionary.literal_count())
 
     # Code point order is the UTF-8 byte order that lookups bisect in.
-    by_token = list(map(ids.__getitem__, sorted(ids)))
+    by_token = _int_section(map(ids.__getitem__, sorted(ids)))
+    ids.clear()  # the token lists below still hold every token, in id order
     even, odd = dictionary.added()
     keys = sorted(seen)
     seen.clear()  # the sorted keys hold every triple; free the set's table
-    sections = [
-        *_term_sections(even),
-        *_term_sections(odd),
-        _int_section(by_token),
-        _int_section([bisect_left(keys, s << 128) for s in range(2, 2 * len(even) + 3, 2)]),
-        _int_section([key >> 64 & MAX_ID for key in keys]),
-        _int_section([key & MAX_ID for key in keys]),
-    ]
+    rows = _int_section(map(bisect_left, repeat(keys), map(lshift, range(2, 2 * len(even) + 3, 2), repeat(128))))
+    p = _int_section(map(and_, map(rshift, keys, repeat(64)), repeat(MAX_ID)))
+    o = _int_section(map(and_, keys, repeat(MAX_ID)))
+    del keys
+    sections = [*_term_sections(even), *_term_sections(odd), by_token, rows, p, o]
     config.path.mkdir(parents=True, exist_ok=True)
     # The old delta goes first: a crash between the two steps leaves the
     # old base without derivations, never a delta beside a base it was not
@@ -217,7 +222,7 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     if _remove(config.path / "delta"):
         _sync_dir(config.path)
     _write_file(config.path / "base", sections)
-    return dictionary, report
+    return report
 
 
 def create_store(config: StoreConfig, triples: Iterable[Triple]) -> Store:
@@ -252,37 +257,48 @@ def save_delta(store: Store, delta: list[tuple[int, int, int]]) -> None:
 # -- on-disk format ------------------------------------------------------
 
 
-def _int_section(values: Sequence[int]) -> Section:
+def _int_section(values: Iterable[int]) -> array:
     """Little-endian integers, 4 bytes each unless a value needs 8."""
-    column = array("I" if max(values, default=0) < 1 << 32 else "Q", values)
+    column = array("Q", values)
+    try:
+        column = array("I", column)
+    except OverflowError:  # a value needs 8 bytes
+        pass
     if not _LITTLE:
         column.byteswap()
-    return column.tobytes(), column.itemsize
+    return column
 
 
 def _term_sections(tokens: list[str]) -> list[Section]:
-    """Token offsets, then the tokens' UTF-8 bytes back to back."""
-    offsets = list(accumulate(map(len, map(str.encode, tokens)), initial=0))
-    return [_int_section(offsets), ("".join(tokens).encode("utf-8"), 1)]
+    """Token offsets, then the tokens' UTF-8 bytes back to back, in chunks
+    of ``_CHUNK`` tokens: no copy of the whole table is made."""
+    offsets = _int_section(accumulate(map(len, map(str.encode, tokens)), initial=0))
+    return [offsets, ["".join(tokens[i : i + _CHUNK]).encode("utf-8") for i in range(0, len(tokens), _CHUNK)]]
 
 
 def _write_file(path: Path, sections: list[Section]) -> None:
     """Write a header, the section table and the sections to a temporary
     file, make it durable, then rename it to ``path`` and make the rename
     durable."""
+    bodies = [([body], body.itemsize) if isinstance(body, array) else (body, 1) for body in sections]
     offset = _HEADER.size + _ENTRY.size * len(sections)
     entries = []
-    for body, itemsize in sections:
-        entries.append(_ENTRY.pack(offset, len(body), itemsize, zlib.crc32(body)))
-        offset += len(body)
+    for chunks, itemsize in bodies:
+        length = crc = 0
+        for chunk in chunks:
+            length += len(chunk) * itemsize
+            crc = zlib.crc32(chunk, crc)
+        entries.append(_ENTRY.pack(offset, length, itemsize, crc))
+        offset += length
     table = b"".join(entries)
     crc = zlib.crc32(table, zlib.crc32(_COUNT.pack(len(sections))))
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
             f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, crc, len(sections)) + table)
-            for body, _ in sections:
-                f.write(body)
+            for chunks, _ in bodies:
+                for chunk in chunks:
+                    f.write(chunk)
             # Otherwise a rename that survives a power loss may name a
             # file whose bytes did not.
             f.flush()

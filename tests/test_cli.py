@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import struct
 import subprocess
@@ -36,6 +37,16 @@ def test_load_reports_counts(tmp_path, fixture_nt, capsys):
     assert code == 0
     assert "triples,6" in out
     assert "distinct_terms,10" in out
+
+
+def test_load_from_stdin_matches_load_from_file(tmp_path, fixture_nt, capsys, monkeypatch):
+    assert main(["load", "--store", str(tmp_path / "file"), "--input", str(fixture_nt)]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(fixture_nt.read_bytes()), encoding="utf-8"))
+    assert main(["load", "--store", str(tmp_path / "stdin"), "--input", "-"]) == 0
+    assert capsys.readouterr().out == from_file
+    assert not sys.stdin.closed
+    assert (tmp_path / "stdin" / "base").read_bytes() == (tmp_path / "file" / "base").read_bytes()
 
 
 def test_load_lenient_counts_bad_lines(tmp_path, capsys):

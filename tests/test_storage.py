@@ -5,13 +5,16 @@ import re
 import shutil
 import stat
 import struct
+import tracemalloc
 import zlib
+from itertools import accumulate
 
 import pytest
 
 import layout
 from ldm3n import Literal, StoreConfig, Triple, cli, create_store, format_term, open_store, parse_term, storage
 from ldm3n.cli import main
+from ldm3n.dictionary import Dictionary
 from ldm3n.errors import StoreCorrupt
 from ldm3n.storage import load_triples, save_delta
 
@@ -46,7 +49,7 @@ PINNED_TRIPLES = [
 
 
 def test_base_bytes_are_pinned(tmp_path):
-    _, report = load_triples(StoreConfig(tmp_path), PINNED_TRIPLES)
+    report = load_triples(StoreConfig(tmp_path), PINNED_TRIPLES)
     assert (report.triples, report.distinct_terms, report.duplicates, report.literals) == (7, 9, 2, 2)
     base = tmp_path / "base"
     _, rows, itemsize = layout.sections(base)["rows"]
@@ -57,7 +60,7 @@ def test_base_bytes_are_pinned(tmp_path):
 
 
 def test_succession_load_report_and_keys(tmp_path, succession_triples):
-    _, report = load_triples(StoreConfig(tmp_path / "s"), tokens(succession_triples))
+    report = load_triples(StoreConfig(tmp_path / "s"), tokens(succession_triples))
     assert (report.triples, report.distinct_terms, report.duplicates) == (6, 10, 0)
     store = open_store(tmp_path / "s")
     assert store.triple_count() == 6
@@ -77,7 +80,7 @@ def test_empty_input_empty_store(make_store):
 
 def test_duplicate_triples_collapse(tmp_path, succession_triples):
     doubled = succession_triples + [succession_triples[0]]
-    _, report = load_triples(StoreConfig(tmp_path / "dup"), tokens(doubled))
+    report = load_triples(StoreConfig(tmp_path / "dup"), tokens(doubled))
     assert report.triples == 6
     assert report.duplicates == 1
     assert open_store(tmp_path / "dup").triple_count() == 6
@@ -127,12 +130,16 @@ def test_neighbor_order_is_sorted(make_store):
 
 
 def test_durability_round_trip(tmp_path, succession_triples):
-    dictionary, report = load_triples(StoreConfig(tmp_path / "dur"), tokens(succession_triples))
+    report = load_triples(StoreConfig(tmp_path / "dur"), tokens(succession_triples))
     reopened = open_store(tmp_path / "dur")
     assert reopened.triple_count() == report.triples
     assert (len(reopened.dictionary), reopened.dictionary.literal_count()) == (report.distinct_terms, report.literals)
-    encoded = sorted({tuple(dictionary.lookup(x) for x in (t.subject, t.predicate, t.object))
+    # Ids are issued in order of first appearance, as a fresh dictionary
+    # fed the same terms issues them.
+    dictionary = Dictionary()
+    encoded = sorted({tuple(dictionary.encode(x) for x in (t.subject, t.predicate, t.object))
                       for t in succession_triples})
+    assert len(dictionary) == report.distinct_terms
     assert list(reopened.iter_triples()) == encoded
     for key in dictionary.ids():
         assert reopened.neighbors(key) == [(p, o) for s, p, o in encoded if s == key]
@@ -141,6 +148,29 @@ def test_durability_round_trip(tmp_path, succession_triples):
         assert reopened.dictionary.lookup(term) == term_id
         assert reopened.token(term_id) == format_term(term)
     assert list(reopened.dictionary.ids()) == sorted(dictionary.ids())
+
+
+def test_load_memory_only_shrinks_after_the_input_ends(tmp_path):
+    """Once the last triple is pulled, the load holds its token dict and key
+    set; building the columns and writing them may add little to that."""
+    held = []
+
+    def noise():
+        # Shaped like the benchmark's chain corpus: bipartite noise whose
+        # subjects and objects are nearly all distinct.
+        rng = random.Random(5)
+        for _ in range(30_000):
+            yield f"<{EX}s/{rng.randrange(10**6)}>", f"<{EX}p/{rng.randrange(16)}>", f"<{EX}o/{rng.randrange(10**6)}>"
+        held.append(tracemalloc.get_traced_memory()[0])
+
+    tracemalloc.start()
+    try:
+        report = load_triples(StoreConfig(tmp_path / "mem"), noise())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.triples > 29_000
+    assert peak <= 1.25 * held[0], (peak, held[0])
 
 
 def test_store_files_exist_with_magic(tmp_path, succession_triples):
@@ -278,7 +308,7 @@ def test_delta_for_another_base_is_rejected(tmp_path, succession_triples):
 
 
 def test_columns_take_eight_bytes_only_when_a_value_needs_them(tmp_path, succession_triples):
-    assert [storage._int_section(v)[1] for v in ([], [2**32 - 1], [2**32])] == [4, 4, 8]
+    assert [storage._int_section(v).itemsize for v in ([], [2**32 - 1], [2**32])] == [4, 4, 8]
     path = tmp_path / "wide"
     store = create_store(StoreConfig(path), succession_triples)
     triples = list(store.iter_triples())
@@ -290,6 +320,26 @@ def test_columns_take_eight_bytes_only_when_a_value_needs_them(tmp_path, success
     assert list(reopened.iter_triples()) == triples
     assert reopened.resolve(ex("GeorgeWBush")) == store.resolve(ex("GeorgeWBush"))
     assert [reopened.neighbors(n) for n in range(22)] == [store.neighbors(n) for n in range(22)]
+
+
+def test_section_writer_bytes(tmp_path):
+    # Integer columns are little-endian on disk (the itemsize rule is
+    # checked above).
+    assert bytes(storage._int_section([1, 2**32 - 1])) == struct.pack("<2I", 1, 2**32 - 1)
+    assert bytes(storage._int_section(iter([1, 2**32]))) == struct.pack("<2Q", 1, 2**32)
+    # A term table written in several chunks reads back as one body, with the
+    # offsets, bytes and CRC of the whole table encoded at once.
+    tokens = [f"<{EX}t{i}>" if i % 3 else f'"é{i}"' for i in range(2 * storage._CHUNK + 5)]
+    sections = storage._term_sections(tokens)
+    assert len(sections[1]) == 3
+    path = tmp_path / "table"
+    storage._write_file(path, sections)
+    f = storage._read_file(path, ("even_off", "even_tok"))  # checks every CRC
+    body = "".join(tokens).encode("utf-8")
+    at, length, itemsize = f.sections["even_tok"]
+    assert (f.data[at : at + length], itemsize) == (body, 1)
+    assert f.ints("even_off").tolist() == [0, *accumulate(len(t.encode("utf-8")) for t in tokens)]
+    assert struct.unpack_from("<I", f.data, layout.HEADER.size + layout.ENTRY.size + 20) == (zlib.crc32(body),)
 
 
 def test_big_endian_path_round_trips(tmp_path, monkeypatch, succession_triples):
