@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -112,7 +113,8 @@ def _open_view(args):
 def _cmd_load(args) -> int:
     errors: list[MalformedLine] = []
     if args.input == "-":
-        source = sys.stdin
+        # UTF-8, as a file is read, whatever the locale's encoding.
+        source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
     else:
         source = open(args.input, "r", encoding="utf-8")
     try:
@@ -120,7 +122,9 @@ def _cmd_load(args) -> int:
         config = storage.StoreConfig(args.store)
         report = storage.load_triples(config, triples)
     finally:
-        if source is not sys.stdin:
+        if args.input == "-":
+            source.detach()  # closing the wrapper would close stdin
+        else:
             source.close()
     writer = csv.writer(sys.stdout)
     writer.writerow(["metric", "value"])

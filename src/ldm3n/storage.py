@@ -30,12 +30,14 @@ the length of ``p`` and ``o``, and that every id of ``by_token`` and of the
 triple columns was issued (and, in ``base``, that no predicate is a
 literal), then takes views of the bytes: no term is parsed until it is
 decoded. The initial/terminal edge pair of each triple is implicit in its
-row, so the same rows serve both traversal models. Loading dedups exact
-duplicates (set semantics), and each row is sorted by (pred, obj) so every
-downstream answer is deterministic. Both files are written to a temporary
-name, synced to disk and then renamed into place, and the directory is
-synced after each rename and unlink; ``base`` is never rewritten. After load
-the store is read-only and safe to share across concurrent query workers.
+row, so the same rows serve both traversal models. Loading keeps three id
+columns while the input streams, then packs each triple into one key only as
+wide as the ids need, sorts the keys and drops exact duplicates (set
+semantics); each row is so sorted by (pred, obj), and every downstream answer
+is deterministic. Both files are written to a temporary name, synced to disk
+and then renamed into place, and the directory is synced after each rename
+and unlink; ``base`` is never rewritten. After load the store is read-only
+and safe to share across concurrent query workers.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice, repeat
-from operator import and_, le, lshift, rshift
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import and_, countOf, eq, le, lshift, ne, or_, rshift
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -184,37 +186,45 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     starts with ``"``. Every distinct input triple is stored exactly once;
     exact duplicates are counted in the report. An old ``delta`` is removed.
 
-    Triples are kept as packed keys, ``s << 128 | p << 64 | o``: no id exceeds
-    ``MAX_ID``, so the 64-bit fields never overlap and the keys sort as ``(s, p, o)``
-    does. Row ``i`` starts where bisection puts subject ``2 * (i + 1)`` among the keys.
-    Once the input ends, what the load holds only shrinks: each column goes
-    straight into an array, and the token dict and the keys are freed first.
+    While the input streams, each triple is three ids appended to three
+    8-byte columns. Once it ends and the token dict is freed, ``_sorted_keys``
+    packs the triples as keys ``s << 2w | p << w | o``, where ``w`` is the bit
+    length of the largest id, so the keys sort as ``(s, p, o)`` does. Row ``i``
+    starts where bisection puts subject ``2 * (i + 1)`` among the keys. What
+    the load holds after its input ends only shrinks: the token lists are
+    freed as their bytes are made, before any key is; the columns are freed
+    once the keys are sorted; and each section goes straight into an array.
     """
     dictionary = Dictionary()
     ids = dictionary.added_ids()
     get, issue = ids.get, dictionary.issue
-    seen: set[int] = set()
-    add = seen.add
-    total = 0
+    columns = array("Q"), array("Q"), array("Q")
+    add_s, add_p, add_o = (column.append for column in columns)
     for s, p, o in triples:
         # Ids start at 1, so a found id is never falsy.
-        add((get(s) or issue(s, s[0] == '"')) << 128
-            | (get(p) or issue(p, p[0] == '"')) << 64
-            | (get(o) or issue(o, o[0] == '"')))
-        total += 1
-    report = LoadReport(len(seen), len(dictionary), total - len(seen), dictionary.literal_count())
+        add_s(get(s) or issue(s, s[0] == '"'))
+        add_p(get(p) or issue(p, p[0] == '"'))
+        add_o(get(o) or issue(o, o[0] == '"'))
+    total = len(columns[0])
+    evens, odds = dictionary.id_ranges()
+    top = max(evens.stop, odds.stop) - 2  # the largest id
+    width = top.bit_length()
 
     # Code point order is the UTF-8 byte order that lookups bisect in.
-    by_token = _int_section(map(ids.__getitem__, sorted(ids)))
+    by_token = _int_section(map(ids.__getitem__, sorted(ids)), top)
     ids.clear()  # the token lists below still hold every token, in id order
     even, odd = dictionary.added()
-    keys = sorted(seen)
-    seen.clear()  # the sorted keys hold every triple; free the set's table
-    rows = _int_section(map(bisect_left, repeat(keys), map(lshift, range(2, 2 * len(even) + 3, 2), repeat(128))))
-    p = _int_section(map(and_, map(rshift, keys, repeat(64)), repeat(MAX_ID)))
-    o = _int_section(map(and_, keys, repeat(MAX_ID)))
+    # The token strings are freed before the keys are made.
+    tables = [*_term_sections(even), *_term_sections(odd)]
+    keys = _sorted_keys(columns, width)
+    report = LoadReport(len(keys), len(dictionary), total - len(keys), dictionary.literal_count())
+    rows = _int_section(map(bisect_left, repeat(keys), map(lshift, range(2, evens.stop + 1, 2), repeat(2 * width))),
+                        len(keys))
+    mask = (1 << width) - 1
+    p = _int_section(map(and_, map(rshift, keys, repeat(width)), repeat(mask)), top)
+    o = _int_section(map(and_, keys, repeat(mask)), top)
     del keys
-    sections = [*_term_sections(even), *_term_sections(odd), by_token, rows, p, o]
+    sections = [*tables, by_token, rows, p, o]
     config.path.mkdir(parents=True, exist_ok=True)
     # The old delta goes first: a crash between the two steps leaves the
     # old base without derivations, never a delta beside a base it was not
@@ -223,6 +233,20 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
         _sync_dir(config.path)
     _write_file(config.path / "base", sections)
     return report
+
+
+def _sorted_keys(columns: tuple[array, array, array], width: int) -> list[int]:
+    """The distinct triples of three id columns as keys ``s << 2 * width |
+    p << width | o``, ascending; every id must fit in ``width`` bits. Empties
+    the columns."""
+    s, p, o = columns
+    keys = sorted(map(or_, map(lshift, s, repeat(2 * width)), map(or_, map(lshift, p, repeat(width)), o)))
+    del s[:], p[:], o[:]
+    # Sorted, a duplicate is equal to the key after it; a load without
+    # duplicates makes no second list.
+    if countOf(map(eq, keys, islice(keys, 1, None)), True):
+        keys = list(compress(keys, chain(map(ne, keys, islice(keys, 1, None)), (True,))))
+    return keys
 
 
 def create_store(config: StoreConfig, triples: Iterable[Triple]) -> Store:
@@ -242,7 +266,8 @@ def save_delta(store: Store, delta: list[tuple[int, int, int]]) -> None:
         if _remove(path):
             _sync_dir(path.parent)
         return
-    even, odd = store.dictionary.added()
+    # The store stays in use: its token lists are copied, not emptied.
+    even, odd = map(list, store.dictionary.added())
     s, p, o = zip(*store.delta)
     _write_file(path, [
         _int_section([store.base_crc]),
@@ -257,13 +282,15 @@ def save_delta(store: Store, delta: list[tuple[int, int, int]]) -> None:
 # -- on-disk format ------------------------------------------------------
 
 
-def _int_section(values: Iterable[int]) -> array:
-    """Little-endian integers, 4 bytes each unless a value needs 8."""
-    column = array("Q", values)
-    try:
-        column = array("I", column)
-    except OverflowError:  # a value needs 8 bytes
-        pass
+def _int_section(values: Iterable[int], top: int = MAX_ID) -> array:
+    """Little-endian integers, 4 bytes each unless a value needs 8. ``top``
+    bounds the values; below 2**32, no 8-byte copy is made."""
+    column = array("Q" if top >> 32 else "I", values)
+    if column.typecode == "Q":
+        try:
+            column = array("I", column)
+        except OverflowError:  # a value needs 8 bytes
+            pass
     if not _LITTLE:
         column.byteswap()
     return column
@@ -271,9 +298,15 @@ def _int_section(values: Iterable[int]) -> array:
 
 def _term_sections(tokens: list[str]) -> list[Section]:
     """Token offsets, then the tokens' UTF-8 bytes back to back, in chunks
-    of ``_CHUNK`` tokens: no copy of the whole table is made."""
+    of ``_CHUNK`` tokens: no copy of the whole table is made. Empties
+    ``tokens`` from the end, a chunk at a time, as the bytes are made."""
     offsets = _int_section(accumulate(map(len, map(str.encode, tokens)), initial=0))
-    return [offsets, ["".join(tokens[i : i + _CHUNK]).encode("utf-8") for i in range(0, len(tokens), _CHUNK)]]
+    chunks = []
+    for i in reversed(range(0, len(tokens), _CHUNK)):
+        chunks.append("".join(tokens[i:]).encode("utf-8"))
+        del tokens[i:]
+    chunks.reverse()
+    return [offsets, chunks]
 
 
 def _write_file(path: Path, sections: list[Section]) -> None:

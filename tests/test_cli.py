@@ -49,6 +49,19 @@ def test_load_from_stdin_matches_load_from_file(tmp_path, fixture_nt, capsys, mo
     assert (tmp_path / "stdin" / "base").read_bytes() == (tmp_path / "file" / "base").read_bytes()
 
 
+def test_load_from_stdin_reads_utf8_whatever_the_locale(tmp_path):
+    # Under a Latin-1 stdin, "é" read in the locale's encoding would be
+    # stored as the two characters of its UTF-8 bytes.
+    nt = tmp_path / "cafe.nt"
+    nt.write_bytes(f'<{EX}a> <{EX}p> "café" .\n'.encode("utf-8"))
+    env = dict(os.environ, PYTHONIOENCODING="latin-1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for name, source, stdin in (("file", str(nt), None), ("stdin", "-", nt.read_bytes())):
+        load = [sys.executable, "-m", "ldm3n.cli", "load", "--store", str(tmp_path / name), "--input", source]
+        subprocess.run(load, input=stdin, env=env, capture_output=True, check=True)
+    assert (tmp_path / "stdin" / "base").read_bytes() == (tmp_path / "file" / "base").read_bytes()
+
+
 def test_load_lenient_counts_bad_lines(tmp_path, capsys):
     nt = tmp_path / "bad.nt"
     nt.write_text(f"<{EX}a> <{EX}p> <{EX}b> .\njunk line\n", encoding="utf-8")

@@ -5,16 +5,19 @@ import re
 import shutil
 import stat
 import struct
+import tempfile
 import tracemalloc
 import zlib
+from array import array
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, strategies as st
 
 import layout
 from ldm3n import Literal, StoreConfig, Triple, cli, create_store, format_term, open_store, parse_term, storage
 from ldm3n.cli import main
-from ldm3n.dictionary import Dictionary
+from ldm3n.dictionary import MAX_ID, Dictionary
 from ldm3n.errors import StoreCorrupt
 from ldm3n.storage import load_triples, save_delta
 
@@ -150,9 +153,49 @@ def test_durability_round_trip(tmp_path, succession_triples):
     assert list(reopened.dictionary.ids()) == sorted(dictionary.ids())
 
 
+# Ids at and around the byte boundaries of the key fields, up to MAX_ID.
+key_id = st.one_of(st.integers(1, 9), st.integers(1, MAX_ID),
+                   st.sampled_from([2**k + d for k in (8, 16, 32, 63) for d in (-1, 0, 1)] + [MAX_ID]))
+
+
+@given(st.lists(st.tuples(key_id, key_id, key_id)), st.data())
+def test_sorted_keys_match_a_set_of_triples(triples, data):
+    # Duplicates, drawn from the triples, in any order.
+    duplicates = data.draw(st.lists(st.sampled_from(triples))) if triples else []
+    triples = data.draw(st.permutations(triples + duplicates))
+    top = max(map(max, triples), default=0)
+    width = top.bit_length()
+    columns = tuple(array("Q", column) for column in zip(*triples)) or (array("Q"), array("Q"), array("Q"))
+    keys = storage._sorted_keys(columns, width)
+    mask = (1 << width) - 1
+    assert [(k >> 2 * width, k >> width & mask, k & mask) for k in keys] == sorted(set(triples))
+    assert columns == (array("Q"), array("Q"), array("Q"))
+    # Bounded by the largest id, a column takes the itemsize it takes unbounded.
+    for column in zip(*triples):
+        assert storage._int_section(column, top).tobytes() == storage._int_section(column).tobytes()
+
+
+resource = st.sampled_from([f"<{EX}a>", f"<{EX}b>", "_:n"])
+
+
+@given(st.lists(st.tuples(resource, st.sampled_from([f"<{EX}a>", f"<{EX}p>"]),
+                          st.one_of(resource, st.sampled_from(['"a"', '"é"@en'])))))
+def test_load_report_counts_match_a_set_of_triples(triples):
+    with tempfile.TemporaryDirectory() as tmp:
+        report = load_triples(StoreConfig(tmp), triples)
+        store = open_store(tmp)
+        stored = sorted(tuple(map(store.token, triple)) for triple in store.iter_triples())
+    distinct = set(triples)
+    terms = {t for triple in triples for t in triple}
+    assert (report.triples, report.duplicates) == (len(distinct), len(triples) - len(distinct))
+    assert (report.distinct_terms, report.literals) == (len(terms), sum(t[0] == '"' for t in terms))
+    assert stored == sorted(distinct)
+
+
 def test_load_memory_only_shrinks_after_the_input_ends(tmp_path):
-    """Once the last triple is pulled, the load holds its token dict and key
-    set; building the columns and writing them may add little to that."""
+    """Once the last triple is pulled, the load holds its token dict and
+    three id columns; packing, sorting and writing them may add little to
+    that."""
     held = []
 
     def noise():
@@ -328,9 +371,12 @@ def test_section_writer_bytes(tmp_path):
     assert bytes(storage._int_section([1, 2**32 - 1])) == struct.pack("<2I", 1, 2**32 - 1)
     assert bytes(storage._int_section(iter([1, 2**32]))) == struct.pack("<2Q", 1, 2**32)
     # A term table written in several chunks reads back as one body, with the
-    # offsets, bytes and CRC of the whole table encoded at once.
+    # offsets, bytes and CRC of the whole table encoded at once; the token
+    # list is emptied as its bytes are made.
     tokens = [f"<{EX}t{i}>" if i % 3 else f'"é{i}"' for i in range(2 * storage._CHUNK + 5)]
-    sections = storage._term_sections(tokens)
+    table = list(tokens)
+    sections = storage._term_sections(table)
+    assert table == []
     assert len(sections[1]) == 3
     path = tmp_path / "table"
     storage._write_file(path, sections)
