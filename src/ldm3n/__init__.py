@@ -21,7 +21,6 @@ from .traversal import (
     PathStatus,
     dijkstra_ldm3n,
     dijkstra_nlan,
-    reachable,
     shortest_path,
     validate_resource_path,
     validate_triple_path,
@@ -55,7 +54,6 @@ __all__ = [
     "open_store",
     "parse_ntriples",
     "parse_term",
-    "reachable",
     "serialize_ntriples",
     "shortest_path",
     "validate_resource_path",

@@ -158,10 +158,6 @@ class Dictionary:
         """Every issued id, ascending."""
         return merge(*reversed(self.id_ranges()))
 
-    def items(self) -> Iterator[tuple[int, Term]]:
-        """(id, term) pairs, ascending by id."""
-        return ((term_id, self.decode(term_id)) for term_id in self.ids())
-
     def added(self) -> tuple[list[str], list[str]]:
         """Tokens issued after the tables, even ids then odd ids, each in id order."""
         return self._added_tokens

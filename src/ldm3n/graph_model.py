@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .dictionary import Dictionary
 from .errors import MalformedGraph
-from .terms import Triple, format_term
+from .terms import Triple
 
 
 class EdgeKind(enum.Enum):
@@ -111,22 +111,3 @@ def backward_transform(g: Ldm3nGraph) -> set[Triple]:
 def graph_size(g: Ldm3nGraph) -> int:
     """Number of edges; always twice the number of represented triples."""
     return g.edge_count()
-
-
-def to_dot(g: Ldm3nGraph) -> str:
-    """Graphviz-style dump for eyeballing: initial edges solid, terminal dashed.
-
-    Human-oriented output only; the co-label on each edge names its pair.
-    """
-    lines = ["digraph ldm3n {"]
-    for n in sorted(g.nodes):
-        lines.append(f'  n{n} [label="{format_term(g.mu.decode(n))}"];')
-    for e_init in sorted(g.tau):
-        e_term = g.tau[e_init]
-        a, b = g.epsilon[e_init]
-        _, c = g.epsilon[e_term]
-        pair = e_init // 2
-        lines.append(f'  n{a} -> n{b} [label="e{pair}I" style=solid];')
-        lines.append(f'  n{b} -> n{c} [label="e{pair}T" style=dashed];')
-    lines.append("}")
-    return "\n".join(lines)

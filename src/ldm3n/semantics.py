@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator
 
-from .dictionary import Dictionary, is_literal_id
+from .dictionary import Dictionary
 from .errors import ResourceLimit
 from .storage import Store
-from .terms import IRI, Literal, Term
+from .terms import IRI, Term
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -37,7 +37,6 @@ RDF_TYPE = IRI(RDF_NS + "type")
 RDF_PROPERTY = IRI(RDF_NS + "Property")
 RDF_SINGLETON_PROPERTY = IRI(RDF_NS + "SingletonProperty")
 RDF_SINGLETON_PROPERTY_OF = IRI(RDF_NS + "singletonPropertyOf")
-RDF_XML_LITERAL = IRI(RDF_NS + "XMLLiteral")
 RDFS_DOMAIN = IRI(RDFS_NS + "domain")
 RDFS_RANGE = IRI(RDFS_NS + "range")
 RDFS_SUB_PROPERTY_OF = IRI(RDFS_NS + "subPropertyOf")
@@ -56,7 +55,6 @@ class Vocabulary:
     range: Term = RDFS_RANGE
     sub_property_of: Term = RDFS_SUB_PROPERTY_OF
     sub_class_of: Term = RDFS_SUB_CLASS_OF
-    xml_literal: Term = RDF_XML_LITERAL
 
     def with_singleton(self, property_of: str | None = None, singleton_class: str | None = None) -> Vocabulary:
         kwargs = {}
@@ -330,33 +328,3 @@ def entail_fixpoint(
         if max_derived is not None and len(derived) > max_derived:
             raise ResourceLimit(f"derived {len(derived)} triples, bound is {max_derived}")
     return EntailmentResult(len(derived), rounds, StoreView(store, derived))
-
-
-@dataclass
-class XmlLiteralReport:
-    well_typed: list[Literal] = field(default_factory=list)
-    ill_typed: list[Literal] = field(default_factory=list)
-
-
-def flag_xml_literals(store: Store, vocab: Vocabulary | None = None) -> XmlLiteralReport:
-    """Partition XML-typed literals by balanced-fragment well-formedness.
-
-    Ill-typed literals are flagged only (excluded from the literal-value
-    space in reports); nothing is rejected or removed.
-    """
-    from xml.etree import ElementTree  # only here, so other commands skip the import
-
-    vocab = vocab or Vocabulary()
-    xml_dt = vocab.xml_literal.value if isinstance(vocab.xml_literal, IRI) else str(vocab.xml_literal)
-    report = XmlLiteralReport()
-    for term_id, term in store.dictionary.items():
-        if not is_literal_id(term_id):
-            continue
-        if not isinstance(term, Literal) or term.datatype != xml_dt:
-            continue
-        try:
-            ElementTree.fromstring(f"<x>{term.lexical}</x>")
-            report.well_typed.append(term)
-        except ElementTree.ParseError:
-            report.ill_typed.append(term)
-    return report

@@ -72,7 +72,7 @@ _LITTLE = sys.byteorder == "little"
 # Byte translations: 1 for an odd byte, and 1 for a 0 byte.
 _ODD = bytes(i & 1 for i in range(256))
 _NOT = bytes([1]) + bytes(255)
-# Tokens per chunk of a term table's bytes.
+# Tokens per chunk of a term table's bytes, and ids per chunk of a parity scan.
 _CHUNK = 1 << 14
 
 Section = array | list[bytes]  # an integer column, or bytes in chunks
@@ -185,6 +185,8 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     yields them and ``format_term`` prints them; a token is a literal iff it
     starts with ``"``. Every distinct input triple is stored exactly once;
     exact duplicates are counted in the report. An old ``delta`` is removed.
+    A literal subject or predicate raises ``ValueError``, naming the triple's
+    position (from 1) and the token, before the directory is touched.
 
     While the input streams, each triple is three ids appended to three
     8-byte columns. Once it ends and the token dict is freed, ``_sorted_keys``
@@ -205,6 +207,10 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
         add_s(get(s) or issue(s, s[0] == '"'))
         add_p(get(p) or issue(p, p[0] == '"'))
         add_o(get(o) or issue(o, o[0] == '"'))
+    # Before the directory is touched: such a store could not be opened.
+    for role, column in zip(("subject", "predicate"), columns):
+        if (i := _odd(column).find(1)) >= 0:
+            raise ValueError(f"triple {i + 1}: a literal cannot be a {role}: {dictionary.token(column[i])}")
     total = len(columns[0])
     evens, odds = dictionary.id_ranges()
     top = max(evens.stop, odds.stop) - 2  # the largest id
@@ -454,15 +460,22 @@ def _check_tables(f: _File, tables: tuple[TermTable, TermTable]) -> None:
                 raise f.fail(parity + "_tok", f"last token does not parse: {exc}") from None
 
 
+def _odd(column: Sequence[int]) -> bytes:
+    """1 for each odd id of a column of native integers, 0 for each even one,
+    read off the ids' low bytes a chunk at a time: no Python step per id."""
+    view = memoryview(column)
+    step, size, raw = view.itemsize, _CHUNK * view.itemsize, view.cast("B")
+    # A strided slice of bytes is 3-4 times as fast as one of a memoryview.
+    low = (raw[i : i + size].tobytes()[0 if _LITTLE else step - 1 :: step] for i in range(0, len(raw), size))
+    return b"".join(low).translate(_ODD)
+
+
 def _check_ids(f: _File, name: str, column: Sequence[int], dictionary: Dictionary, literals: bool = True) -> None:
     """StoreCorrupt naming the first id of section ``name`` that was never
     issued, or, unless ``literals``, is a literal."""
     evens, odds = dictionary.id_ranges()
     itemsize = f.sections[name][2]
-    # The low byte of each id gives its parity, so whole columns are
-    # checked without a Python-level loop. The column holds native integers.
-    low = column.tobytes()[0 if sys.byteorder == "little" else itemsize - 1 :: itemsize]
-    odd = low.translate(_ODD)
+    odd = _odd(column)
     if literals:
         ok = max(compress(column, odd), default=0) < odds.stop
     else:

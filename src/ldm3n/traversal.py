@@ -191,18 +191,6 @@ def shortest_path(
     return PathQueryResult(PathStatus.FOUND, distance, nodes, triples, explored, elapsed)
 
 
-def reachable(
-    store, source: int, target: int, model: Model, max_dist: int | None = None
-) -> tuple[bool, PathQueryResult]:
-    """True iff the model's shortest-path search finds the target.
-
-    Same traversal as the path query, distance bookkeeping retained, so the
-    stats (and the witness path) come along for free.
-    """
-    result = shortest_path(store, source, target, model, max_dist)
-    return result.found, result
-
-
 def validate_resource_path(g: Ldm3nGraph, nodes: list[int]) -> bool:
     """Check a node sequence against the triple-node path rules.
 

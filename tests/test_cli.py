@@ -465,7 +465,7 @@ def test_bench_with_derived_matches_spath(derived_store, tmp_path, capsys):
 )
 def test_cli_import_leaves_module_unloaded(module):
     # Batches run on the calling thread, so no CLI process needs the pool;
-    # only flag_xml_literals parses XML, and it imports the parser itself;
+    # nothing imports the XML parser;
     # only bench runs batches, and it imports the harness itself; only
     # entail, validate, stats and --with-derived import semantics; and the
     # store keeps no JSON.

@@ -35,7 +35,7 @@ def oracle_answers(triples: list[Triple]) -> dict:
     """(model, source, target) -> distance or None, from the BFS oracles."""
     g = forward_transform(triples)
     encoded = [tuple(g.mu.lookup(x) for x in (t.subject, t.predicate, t.object)) for t in triples]
-    terms = [term for _, term in g.mu.items()]
+    terms = list(map(g.mu.decode, g.mu.ids()))
     answers = {}
     for source in terms:
         if isinstance(source, Literal):

@@ -112,4 +112,4 @@ def test_ids_and_items_ascend_across_parities():
     for t in terms:
         d.encode(t)
     assert list(d.ids()) == [1, 2, 4, 6]
-    assert list(d.items()) == [(1, Literal("x")), (2, terms[0]), (4, terms[1]), (6, terms[2])]
+    assert list(map(d.decode, d.ids())) == [Literal("x"), terms[0], terms[1], terms[2]]

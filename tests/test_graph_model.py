@@ -4,7 +4,7 @@ import pytest
 
 from ldm3n import Triple, backward_transform, forward_transform, graph_size
 from ldm3n.errors import MalformedGraph
-from ldm3n.graph_model import EdgeKind, to_dot
+from ldm3n.graph_model import EdgeKind
 
 from conftest import ex, succession_triples
 from oracles import random_triples
@@ -106,11 +106,3 @@ def test_edge_ids_are_deterministic():
     assert g1.epsilon == g2.epsilon
     assert g1.tau == g2.tau
     assert list(g1.tau) == [0, 2, 4, 6, 8, 10]
-
-
-def test_dot_export_mentions_styles_and_labels():
-    dot = to_dot(forward_transform(succession_triples()))
-    assert dot.startswith("digraph")
-    assert "style=solid" in dot and "style=dashed" in dot
-    assert "BillClinton" in dot
-    assert "e0I" in dot and "e0T" in dot

@@ -18,7 +18,6 @@ from ldm3n.semantics import (
     classify_singleton_properties,
     compute_extensions,
     entail_fixpoint,
-    flag_xml_literals,
     resolve_vocabulary,
     validate_singleton_uniqueness,
 )
@@ -431,23 +430,3 @@ def test_store_view_modes(make_store, delta_names):
     assert view.triple_count() == len(union)
     for t in itertools.product(ids, repeat=3):
         assert view.contains(*t) is (t in union)
-
-
-# -- XML literal flagging ----------------------------------------------------
-
-
-def test_xml_literals_partitioned(make_store):
-    xml_dt = RDF_NS + "XMLLiteral"
-    store = make_store([
-        Triple(ex("a"), ex("p"), Literal("<b>x</b>", datatype=xml_dt)),
-        Triple(ex("a"), ex("q"), Literal("<b>x", datatype=xml_dt)),
-        Triple(ex("a"), ex("r"), Literal("plain")),
-    ])
-    report = flag_xml_literals(store)
-    assert [t.lexical for t in report.well_typed] == ["<b>x</b>"]
-    assert [t.lexical for t in report.ill_typed] == ["<b>x"]
-
-
-def test_xml_literal_report_empty_without_datatype(succession_store):
-    report = flag_xml_literals(succession_store)
-    assert report.well_typed == [] and report.ill_typed == []

@@ -146,11 +146,42 @@ def test_durability_round_trip(tmp_path, succession_triples):
     assert list(reopened.iter_triples()) == encoded
     for key in dictionary.ids():
         assert reopened.neighbors(key) == [(p, o) for s, p, o in encoded if s == key]
-    for term_id, term in dictionary.items():
+    for term_id in dictionary.ids():
+        term = dictionary.decode(term_id)
         assert reopened.dictionary.decode(term_id) == term
         assert reopened.dictionary.lookup(term) == term_id
         assert reopened.token(term_id) == format_term(term)
     assert list(reopened.dictionary.ids()) == sorted(dictionary.ids())
+
+
+@pytest.mark.parametrize("role", ["subject", "predicate"])
+def test_literal_subject_or_predicate_is_refused_before_the_store_is_touched(tmp_path, succession_triples, role):
+    path = tmp_path / "kept"
+    store = create_store(StoreConfig(path), succession_triples)
+    bc, h1, gwb = ids_for(store, "BillClinton", "holdsPos#1", "GeorgeWBush")
+    save_delta(store, [(bc, h1, gwb)])
+    before = {p.name: p.read_bytes() for p in path.iterdir()}
+    bad = {"subject": ('"a"', f"<{EX}p>", f"<{EX}o>"), "predicate": (f"<{EX}s>", '"a"', f"<{EX}o>")}[role]
+    for target in (path, tmp_path / "fresh"):
+        with pytest.raises(ValueError, match=f'^triple 2: a literal cannot be a {role}: "a"$'):
+            load_triples(StoreConfig(target), tokens(succession_triples[:1]) + [bad])
+    assert not (tmp_path / "fresh").exists()
+    assert {p.name: p.read_bytes() for p in path.iterdir()} == before
+    reopened = open_store(path)
+    assert reopened.triple_count() == len(succession_triples)
+    assert reopened.delta == [(bc, h1, gwb)]
+
+
+@pytest.mark.parametrize("column", [
+    array("I", [0, 1, 2**32 - 2, 2**32 - 1]),
+    array("Q", [0, 1, 2**32 - 1, 2**32, MAX_ID - 1, MAX_ID]),
+    memoryview(array("Q", [0, 1, 2**32 - 1, 2**32, MAX_ID]).tobytes()).cast("Q"),
+    array("Q"),
+    array("I", range(2**32 - 40_000, 2**32)),  # more than one chunk
+    array("Q", range(2**32 - 20_000, 2**32 + 20_000)),
+], ids=["I", "Q", "memoryview", "empty", "I-chunks", "Q-chunks"])
+def test_odd_reads_the_parity_of_each_id(column):
+    assert list(storage._odd(column)) == [x & 1 for x in column]
 
 
 # Ids at and around the byte boundaries of the key fields, up to MAX_ID.

@@ -10,7 +10,7 @@ from ldm3n import (
     dijkstra_ldm3n,
     dijkstra_nlan,
     forward_transform,
-    reachable,
+    shortest_path,
     validate_resource_path,
     validate_triple_path,
 )
@@ -88,12 +88,10 @@ def test_labeled_arc_from_singleton_property(succession_store):
 def test_reachability_three_ways(succession_store):
     store = succession_store
     bc, gwb = ids_for(store, "BillClinton", "GeorgeWBush")
-    ok, _ = reachable(store, bc, gwb, Model.LDM3N)
-    assert ok is True
-    ok, _ = reachable(store, bc, gwb, Model.NLAN)
-    assert ok is False
-    ok, stats = reachable(store, gwb, bc, Model.LDM3N)  # no outgoing edges
-    assert ok is False and stats.nodes_explored >= 1
+    assert shortest_path(store, bc, gwb, Model.LDM3N).found is True
+    assert shortest_path(store, bc, gwb, Model.NLAN).found is False
+    result = shortest_path(store, gwb, bc, Model.LDM3N)  # no outgoing edges
+    assert result.found is False and result.nodes_explored >= 1
 
 
 def test_unknown_endpoints_raise(succession_store):
