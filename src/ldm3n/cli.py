@@ -228,9 +228,14 @@ def _cmd_stats(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["metric", "value"])
     writer.writerow(["triples", triples])
-    writer.writerow(["nodes", len(store.dictionary)])
+    if args.with_derived:
+        nodes, literals = len(store.dictionary), store.dictionary.literal_count()
+    else:  # base's terms only, not those the delta minted
+        even, literals = store.dictionary.table_sizes()
+        nodes = even + literals
+    writer.writerow(["nodes", nodes])
     writer.writerow(["edges", 2 * triples])
-    writer.writerow(["literals", store.dictionary.literal_count()])
+    writer.writerow(["literals", literals])
     writer.writerow(["singletons", len(singletons)])
     return 0
 

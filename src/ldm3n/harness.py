@@ -38,7 +38,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import repeat
+from itertools import permutations
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import UnknownNode, UnknownProperty
@@ -69,10 +69,7 @@ class OrderedPairs:
         return k * (k - 1)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        m = self.members
-        for i, a in enumerate(m):
-            yield from zip(repeat(a), m[:i])
-            yield from zip(repeat(a), m[i + 1 :])
+        return permutations(self.members, 2)
 
 
 @dataclass

@@ -6,7 +6,9 @@ Supported statement shape, one per line, terminated by ``.``::
 
 Subjects may also be blank nodes. Comment lines (``#``) and blank lines are
 skipped; a comment may follow the terminating dot. Prefixed names are not
-supported.
+supported. The token grammar lives in ``terms``: the statement patterns here
+are built from its IRI character class, language-tag pattern and literal
+body, and a literal's datatype obeys ``IRI``'s rules.
 
 ``parse_ntriples`` yields each statement as three canonical N-Triples
 tokens, the form ``format_term`` prints and the dictionary and the store key
@@ -25,12 +27,11 @@ import re
 from typing import Iterable, Iterator
 
 from .errors import MalformedLine
-from .terms import _IRI_FORBIDDEN_CHARS, BlankNode, IRI, Literal, Triple, unescape_string, format_term
+from .terms import _IRI_FORBIDDEN_CHARS, _LANG_TAG, _LITERAL_BODY, BlankNode, IRI, Literal, Triple, unescape_string, format_term
 
 _IRI = r"<([^<>\x00-\x20]*)>"
 _BNODE = r"_:(\S+)"
-_TAG = rf"(?:\^\^{_IRI}|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?"
-_LIT = rf'"((?:[^"\\]|\\.)*)"{_TAG}'
+_LIT = rf'"({_LITERAL_BODY})"(?:\^\^{_IRI}|@({_LANG_TAG}))?'
 
 _STATEMENT = re.compile(
     rf"^\s*(?:{_IRI}|{_BNODE})"  # subject: groups 1 (iri) / 2 (bnode)
@@ -41,14 +42,15 @@ _STATEMENT = re.compile(
 
 # A line this matches is already canonical: groups 1 to 3 are the tokens
 # format_term prints for the terms _parse_statement builds from the line.
-# Its IRIs are non-empty and hold nothing IRI forbids, and its lexical forms
-# hold no quote, backslash or control character for escape_string to
-# rewrite. Each token spans what _STATEMENT's group for it spans.
+# Its IRIs, datatypes included, are non-empty and hold nothing IRI forbids,
+# its tags match terms' tag pattern, and its lexical forms hold no quote,
+# backslash or control character for escape_string to rewrite. Each token
+# spans what _STATEMENT's group for it spans.
 _CANONICAL_IRI = f"<[^{_IRI_FORBIDDEN_CHARS}]+>"
 _CANONICAL = re.compile(
     rf"^\s*({_CANONICAL_IRI}|_:\S+)"
     rf"\s+({_CANONICAL_IRI})"
-    rf'\s+({_CANONICAL_IRI}|_:\S+|"[^"\\\x00-\x1f]*"{_TAG})'
+    rf'\s+({_CANONICAL_IRI}|_:\S+|"[^"\\\x00-\x1f]*"(?:\^\^{_CANONICAL_IRI}|@{_LANG_TAG})?)'
     r"\s*\.\s*(?:#.*)?$"
 )
 

@@ -5,9 +5,14 @@ datatype IRI or language tag, never both), or a blank node label. Equality is
 syntactic: two terms are equal iff they are the same kind and every lexical
 component matches byte for byte. No value-space normalization is performed.
 
-The token functions at the bottom render/parse single terms in N-Triples
-token syntax (``<iri>``, ``"lit"``, ``"lit"^^<dt>``, ``"lit"@lang``,
-``_:label``); the same tokenizer backs both the file parser and the CLI.
+This module owns the N-Triples token grammar: the characters an IRI may not
+hold, the language-tag pattern and the body of a quoted literal. A literal's
+datatype obeys IRI's rules and its language tag that pattern, so every term
+that can be built prints as a token that parses back to it. The token
+functions at the bottom render/parse single terms in token syntax
+(``<iri>``, ``"lit"``, ``"lit"^^<dt>``, ``"lit"@lang``, ``_:label``), for
+the CLI and the store; ntriples builds its statement patterns from the same
+pieces.
 """
 
 from __future__ import annotations
@@ -28,6 +33,13 @@ class Term:
 # than it tests the \s category.
 _IRI_FORBIDDEN_CHARS = r'\x00-\x20\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000<>"{}|^`\\'
 _IRI_FORBIDDEN = re.compile(f"[{_IRI_FORBIDDEN_CHARS}]")
+# A language tag, and the body of a quoted literal: escape pairs and any
+# other character but a quote or a backslash.
+_LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_LITERAL_BODY = r'(?:[^"\\]|\\.)*'
+_LANG_TAG_MATCH = re.compile(_LANG_TAG).fullmatch
+# A token's quoted part; DOTALL, since a token may hold a raw line break.
+_QUOTED = re.compile(f'"({_LITERAL_BODY})"', re.DOTALL)
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,8 +61,12 @@ class Literal(Term):
     language: str | None = None
 
     def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
-            raise ValueError("literal cannot carry both a datatype and a language tag")
+        if self.datatype is not None:
+            if self.language is not None:
+                raise ValueError("literal cannot carry both a datatype and a language tag")
+            IRI(self.datatype)  # raises as IRI does
+        elif self.language is not None and not _LANG_TAG_MATCH(self.language):
+            raise ValueError(f"bad language tag: {'@' + self.language!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,61 +91,40 @@ class Triple:
             raise ValueError("triple predicate must be an IRI")
 
 
-_LANG_TAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
-
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPE_TABLE = str.maketrans({chr(c): f"\\u{c:04X}" for c in range(0x20)} | _ESCAPES)
 
 
 def escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_ESCAPE_TABLE)
 
 
 _HEX_DIGITS = re.compile(r"[0-9A-Fa-f]*")  # int(x, 16) also takes signs, spaces and "_"
 _UNESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "r": "\r", "t": "\t", "b": "\b", "f": "\f"}
+# An escape: the backslash, then the hex digits a \u or \U takes, or one
+# character, or none at the end of the string.
+_ESCAPE = re.compile(r"\\(u.{0,4}|U.{0,8}|.?)", re.DOTALL)
+
+
+def _unescape(m: re.Match) -> str:
+    esc = m.group(1)
+    if esc in _UNESCAPES:
+        return _UNESCAPES[esc]
+    if not esc:
+        raise ValueError("dangling escape at end of string")
+    kind, hexpart = esc[0], esc[1:]
+    if kind not in "uU":
+        raise ValueError(f"unknown escape \\{kind}")
+    if len(hexpart) != (4 if kind == "u" else 8):
+        raise ValueError(f"truncated \\{kind} escape")
+    code = int(hexpart, 16) if _HEX_DIGITS.fullmatch(hexpart) else -1
+    if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:  # a lone surrogate has no UTF-8 encoding
+        raise ValueError(f"bad \\{kind} escape: {hexpart!r}")
+    return chr(code)
 
 
 def unescape_string(s: str) -> str:
-    out = []
-    i = 0
-    n = len(s)
-    while i < n:
-        ch = s[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise ValueError("dangling escape at end of string")
-        nxt = s[i + 1]
-        if nxt in _UNESCAPES:
-            out.append(_UNESCAPES[nxt])
-            i += 2
-        elif nxt == "u" or nxt == "U":
-            width = 4 if nxt == "u" else 8
-            hexpart = s[i + 2 : i + 2 + width]
-            if len(hexpart) != width:
-                raise ValueError(f"truncated \\{nxt} escape")
-            try:
-                if not _HEX_DIGITS.fullmatch(hexpart):
-                    raise ValueError
-                code = int(hexpart, 16)
-                if 0xD800 <= code <= 0xDFFF:
-                    raise ValueError  # a lone surrogate: no UTF-8 encoding
-                out.append(chr(code))
-            except ValueError:
-                raise ValueError(f"bad \\{nxt} escape: {hexpart!r}") from None
-            i += 2 + width
-        else:
-            raise ValueError(f"unknown escape \\{nxt}")
-    return "".join(out)
+    return _ESCAPE.sub(_unescape, s)
 
 
 def format_term(t: Term) -> str:
@@ -161,30 +156,16 @@ def parse_term(token: str) -> Term:
     if token.startswith("_:"):
         return BlankNode(token[2:])
     if token.startswith('"'):
-        end = _closing_quote(token)
-        lexical = unescape_string(token[1:end])
-        rest = token[end + 1 :]
+        m = _QUOTED.match(token)
+        if m is None:
+            raise ValueError(f"unterminated literal: {token!r}")
+        lexical = unescape_string(m.group(1))
+        rest = token[m.end() :]
         if not rest:
             return Literal(lexical)
         if rest.startswith("^^<") and rest.endswith(">"):
             return Literal(lexical, datatype=rest[3:-1])
         if rest.startswith("@"):
-            if not _LANG_TAG.fullmatch(rest[1:]):
-                raise ValueError(f"bad language tag: {rest!r}")
             return Literal(lexical, language=rest[1:])
         raise ValueError(f"trailing junk after literal: {rest!r}")
     raise ValueError(f"unrecognized term token: {token!r}")
-
-
-def _closing_quote(token: str) -> int:
-    """Index of the closing quote of a literal token, honoring escapes."""
-    i = 1
-    n = len(token)
-    while i < n:
-        if token[i] == "\\":
-            i += 2
-            continue
-        if token[i] == '"':
-            return i
-        i += 1
-    raise ValueError(f"unterminated literal: {token!r}")

@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass
 from typing import Collection
 
-from .dictionary import is_literal_id
 from .errors import UnknownNode, UnknownTriple
 from .graph_model import EdgeKind, Ldm3nGraph
 
@@ -104,8 +103,13 @@ def _dijkstra(
             results[curid] = (dis, explored, time.perf_counter() - started)
             if not pending:
                 return results, via
-        if is_literal_id(curid):
-            continue  # literals are sinks; skip the index probe
+        if curid & 1:
+            # Literals (odd ids; a popped id is never 0) are sinks, so the
+            # walk stops here. Under --with-derived this is more than a
+            # skipped probe: StoreView.neighbors does return derived triples
+            # with a literal subject, which rdfs:range over a literal-valued
+            # property derives.
+            continue
         step, far = dis + 1, dis + 2
         for pred, obj in store.neighbors(curid):
             triple = (curid, pred, obj)

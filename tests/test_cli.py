@@ -100,6 +100,25 @@ def test_load_rejects_lone_surrogate_escapes(tmp_path, capsys):
     assert stats_triples(store, capsys) == "triples,2"
 
 
+def test_load_rejects_datatypes_that_are_not_iris(tmp_path, capsys):
+    nt = tmp_path / "datatype.nt"
+    nt.write_text(
+        f'<{EX}a> <{EX}p> <{EX}b> .\n<{EX}a> <{EX}p> "v"^^<http://x{{y> .\n<{EX}a> <{EX}p> "v"^^<> .\n',
+        encoding="utf-8",
+    )
+    code = main(["load", "--store", str(tmp_path / "strict"), "--input", str(nt)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 2: IRI contains forbidden character '{'")
+
+    store = tmp_path / "lenient"
+    code = main(["load", "--store", str(store), "--input", str(nt), "--lenient"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "triples,1" in captured.out and "malformed_lines,2" in captured.out
+    assert "skipped line 3: IRI must be non-empty" in captured.err
+    assert stats_triples(store, capsys) == "triples,1"
+
+
 def test_load_rejects_non_hex_escapes(tmp_path, capsys):
     nt = tmp_path / "nonhex.nt"
     nt.write_text(
@@ -286,9 +305,9 @@ def stats_triples(store, capsys) -> str:
     return next(line for line in capsys.readouterr().out.splitlines() if line.startswith("triples,"))
 
 
-def test_materialized_range_over_a_literal_is_queryable(tmp_path, capsys):
-    """RANGE derives ("Bill", rdf:type, xsd:string), a triple whose subject is
-    a literal, and RDFS9 spreads it; the materialized store still answers."""
+def range_store(tmp_path):
+    """A loaded store whose entailment derives ("Bill", rdf:type, xsd:string),
+    a triple whose subject is a literal, and mints rdf:type."""
     xsd = "http://www.w3.org/2001/XMLSchema#string"
     nt = tmp_path / "range.nt"
     nt.write_text(
@@ -299,6 +318,13 @@ def test_materialized_range_over_a_literal_is_queryable(tmp_path, capsys):
     )
     store = tmp_path / "s"
     assert main(["load", "--store", str(store), "--input", str(nt)]) == 0
+    return store
+
+
+def test_materialized_range_over_a_literal_is_queryable(tmp_path, capsys):
+    """RANGE derives a triple whose subject is a literal, and RDFS9 spreads
+    it; the materialized store still answers."""
+    store = range_store(tmp_path)
     assert main(["entail", "--store", str(store), "--materialize"]) == 0
     assert "# summary: derived=2" in capsys.readouterr().out
     assert stats_triples(store, capsys) == "triples,5"
@@ -308,6 +334,22 @@ def test_materialized_range_over_a_literal_is_queryable(tmp_path, capsys):
     # Literals are sinks, so the walk does not go on from "Bill".
     assert (code, captured.err) == (0, "")
     assert captured.out.split(",")[3] == "unreachable"
+
+
+def test_stats_counts_minted_terms_only_with_derived(tmp_path, capsys):
+    store = range_store(tmp_path)
+    capsys.readouterr()
+    stats = ["stats", "--store", str(store)]
+    assert main(stats) == 0
+    before = capsys.readouterr().out
+    assert "nodes,7" in before and "literals,1" in before
+    assert main(["entail", "--store", str(store), "--materialize"]) == 0
+    capsys.readouterr()
+    assert main(stats) == 0
+    assert capsys.readouterr().out == before
+    assert main([*stats, "--with-derived"]) == 0
+    out = capsys.readouterr().out
+    assert "triples,5" in out and "nodes,8" in out and "literals,1" in out
 
 
 def test_empty_materialize_and_reload_drop_the_old_delta(derived_store, capsys):

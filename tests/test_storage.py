@@ -19,6 +19,7 @@ from ldm3n import Literal, StoreConfig, Triple, cli, create_store, format_term, 
 from ldm3n.cli import main
 from ldm3n.dictionary import MAX_ID, Dictionary
 from ldm3n.errors import StoreCorrupt
+from ldm3n.ntriples import parse_ntriples
 from ldm3n.storage import load_triples, save_delta
 
 from conftest import EX, ex
@@ -59,6 +60,34 @@ def test_base_bytes_are_pinned(tmp_path):
     assert layout.ints(rows, itemsize) == [0, 1, 2, 3, 6, 6, 7, 7]
     assert hashlib.sha256(base.read_bytes()).hexdigest() == (
         "eeefd52b8641c6615ae186407f6f39efab3cde53b6207457a74670d464e3bca1"
+    )
+
+
+# Lines that are not canonical, so each goes through the parser's slow path:
+# escapes to undo and redo, spacing, a comment, typed and tagged literals,
+# and "\u0041", which is the plain "A" of the last line once decoded.
+PARSED_LINES = (
+    f'  <{EX}a>\t<{EX}p>   "say \\"hi\\" \\\\ back" .  \n'
+    f'<{EX}a> <{EX}p> "\\u0041" .\n'
+    f'<{EX}a> <{EX}p> "tab\\tctl\\u0001\\U000000e9"@fr-CA .\n'
+    f'_:n1 <{EX}q> "\\u0033"^^<http://www.w3.org/2001/XMLSchema#integer> . # three\n'
+    f'<{EX}a> <{EX}p> "A" .\n'
+)
+
+
+def test_parsed_base_bytes_are_pinned(tmp_path):
+    tokens = list(parse_ntriples(PARSED_LINES))
+    assert tokens == [
+        (f"<{EX}a>", f"<{EX}p>", '"say \\"hi\\" \\\\ back"'),
+        (f"<{EX}a>", f"<{EX}p>", '"A"'),
+        (f"<{EX}a>", f"<{EX}p>", '"tab\\tctl\\u0001\u00e9"@fr-CA'),
+        ("_:n1", f"<{EX}q>", '"3"^^<http://www.w3.org/2001/XMLSchema#integer>'),
+        (f"<{EX}a>", f"<{EX}p>", '"A"'),
+    ]
+    report = load_triples(StoreConfig(tmp_path), tokens)
+    assert (report.triples, report.distinct_terms, report.duplicates, report.literals) == (4, 8, 1, 4)
+    assert hashlib.sha256((tmp_path / "base").read_bytes()).hexdigest() == (
+        "3280869bbc1438abf8a404cf12c6ea91af338a55f7c9cb6e62f3686568ee2bbf"
     )
 
 

@@ -1,4 +1,5 @@
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from ldm3n import BlankNode, IRI, Literal, Triple, format_term, parse_term
 from ldm3n.errors import MalformedLine
 from ldm3n import ntriples
+from ldm3n.terms import escape_string, unescape_string
 from ldm3n.ntriples import parse_ntriples, serialize_ntriples
 
 from conftest import EX, succession_triples
@@ -67,6 +69,26 @@ def test_literal_rejects_datatype_plus_language():
         Literal("x", datatype="http://dt", language="en")
 
 
+def test_literal_checks_its_datatype_and_language_tag():
+    # Each would print as a token that neither parse_term nor the store reads back.
+    for datatype, message in (
+        ("", "IRI must be non-empty"),
+        ("http://x y", "IRI contains forbidden character ' ': 'http://x y'"),
+        ("http://x{y", "IRI contains forbidden character '{': 'http://x{y'"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            Literal("v", datatype=datatype)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            parse_term(f'"v"^^<{datatype}>')
+        assert str(exc.value) == message
+    for language in ("", "en US", "en-", "-en", "e1", "en_US"):
+        with pytest.raises(ValueError) as exc:
+            Literal("v", language=language)
+        assert str(exc.value) == f"bad language tag: {'@' + language!r}"
+    assert Literal("v", language="x-Foo-1").language == "x-Foo-1"
+
+
 def test_triple_rejects_literal_subject_and_bad_predicate():
     with pytest.raises(ValueError):
         Triple(Literal("x"), IRI("http://p"), IRI("http://o"))
@@ -125,6 +147,33 @@ def test_non_hex_escape_is_a_bad_escape():
         with pytest.raises(ValueError, match=r"bad \\[uU] escape"):
             parse_term(token)
     assert parse_term('"\\u004a\\U0000004B"') == Literal("JK")
+
+
+def test_unescape_string_messages():
+    cases = {
+        "ab\\": "dangling escape at end of string",
+        "\\u12": "truncated \\u escape",
+        "x\\U0001F60": "truncated \\U escape",
+        "\\u12G4": "bad \\u escape: '12G4'",
+        "\\uDBFF": "bad \\u escape: 'DBFF'",
+        "\\U0000004g": "bad \\U escape: '0000004g'",
+        "\\U00110000": "bad \\U escape: '00110000'",
+        "a\\qb": "unknown escape \\q",
+        "\\q\\": "unknown escape \\q",  # the first bad escape is reported
+    }
+    for s, message in cases.items():
+        with pytest.raises(ValueError) as exc:
+            unescape_string(s)
+        assert str(exc.value) == message, s
+    assert unescape_string("\\U0010FFFF\\'\\b\\f") == "\U0010ffff'\b\f"
+
+
+def test_escape_string_follows_the_rule_for_every_code_point():
+    named = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    chars = [chr(code) for code in chain(range(0xD800), range(0xE000, 0x110000))]
+    expected = [named.get(c, f"\\u{ord(c):04X}" if c < " " else c) for c in chars]
+    assert list(map(escape_string, chars)) == expected
+    assert escape_string("".join(chars)) == "".join(expected)
 
 
 def test_strict_mode_raises_with_line_number():
@@ -203,6 +252,29 @@ iri_text = st.text(
     min_size=1,
     max_size=40,
 )
+
+
+language_tags = st.from_regex(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*", fullmatch=True)
+literals = st.one_of(
+    st.builds(Literal, safe_text),
+    st.builds(Literal, safe_text, datatype=iri_text),
+    st.builds(Literal, safe_text, language=language_tags),
+)
+
+
+@given(
+    triples=st.lists(
+        st.builds(
+            Triple,
+            st.one_of(st.builds(IRI, iri_text), st.builds(BlankNode, st.from_regex(r"[A-Za-z0-9]+", fullmatch=True))),
+            st.builds(IRI, iri_text),
+            literals,
+        ),
+        max_size=5,
+    )
+)
+def test_typed_and_tagged_statement_round_trip_property(triples):
+    assert parse(serialize_ntriples(triples)) == triples
 
 
 @given(value=iri_text)
