@@ -27,9 +27,15 @@ from .traversal import Model, shortest_path
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ldm3n", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--store", required=True, type=Path)
+    derived = argparse.ArgumentParser(add_help=False)
+    derived.add_argument("--with-derived", action="store_true", help="query base plus materialized delta")
+    singleton = argparse.ArgumentParser(add_help=False)
+    singleton.add_argument("--singleton-prop", default=None, help="override the singleton-of IRI")
+    singleton.add_argument("--singleton-class", default=None, help="override the singleton class IRI")
 
-    p_load = sub.add_parser("load", help="parse an N-Triples file into a new store")
-    p_load.add_argument("--store", required=True, type=Path)
+    p_load = sub.add_parser("load", parents=[store], help="parse an N-Triples file into a new store")
     p_load.add_argument("--input", required=True, help="N-Triples file, or - for stdin")
     p_load.add_argument("--lenient", action="store_true", help="skip malformed lines and count them")
 
@@ -37,48 +43,33 @@ def _build_parser() -> argparse.ArgumentParser:
         ("spath", "shortest path between two terms"),
         ("reach", "reachability between two terms"),
     ):
-        q = sub.add_parser(name, help=help_text)
-        q.add_argument("--store", required=True, type=Path)
+        q = sub.add_parser(name, parents=[store, derived], help=help_text)
         q.add_argument("--model", choices=["ldm3n", "nlan"], required=True)
         q.add_argument("--source", required=True)
         q.add_argument("--target", required=True)
         q.add_argument("--max-dist", type=int, default=None)
-        q.add_argument("--with-derived", action="store_true", help="query base plus materialized delta")
         q.add_argument("--timing", action="store_true", help="append elapsed_ms (output no longer byte-stable)")
 
-    p_entail = sub.add_parser("entail", help="forward-chain RDFS rules to fixpoint")
-    p_entail.add_argument("--store", required=True, type=Path)
+    p_entail = sub.add_parser("entail", parents=[store, singleton], help="forward-chain RDFS rules to fixpoint")
     p_entail.add_argument("--rules", default="rdfs5,rdfs7,rdfs9,domain,range")
     p_entail.add_argument("--strict-singletons", action="store_true")
-    p_entail.add_argument("--singleton-prop", default=None, help="override the singleton-of IRI")
-    p_entail.add_argument("--singleton-class", default=None, help="override the singleton class IRI")
     p_entail.add_argument("--max-derived", type=int, default=None)
     p_entail.add_argument("--materialize", action="store_true", help="persist the delta into the store")
     p_entail.add_argument("--out", default="-", help="derived triples destination (default stdout)")
 
-    p_val = sub.add_parser("validate", help="report singleton-property violations as CSV")
-    p_val.add_argument("--store", required=True, type=Path)
+    p_val = sub.add_parser("validate", parents=[store, singleton, derived],
+                           help="report singleton-property violations as CSV")
     p_val.add_argument("--strict-singletons", action="store_true")
-    p_val.add_argument("--singleton-prop", default=None)
-    p_val.add_argument("--singleton-class", default=None)
-    p_val.add_argument("--with-derived", action="store_true")
 
-    p_bench = sub.add_parser("bench", help="batch reachability or shortest-path queries")
-    p_bench.add_argument("--store", required=True, type=Path)
+    p_bench = sub.add_parser("bench", parents=[store, derived], help="batch reachability or shortest-path queries")
     p_bench.add_argument("--mode", choices=["reach", "spath"], required=True)
     p_bench.add_argument("--model", choices=["ldm3n", "nlan"], required=True)
     p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--pairs", required=True, help="CSV of source_iri,target_iri rows")
     p_bench.add_argument("--out", default="-", help="report destination (default stdout)")
     p_bench.add_argument("--max-dist", type=int, default=None)
-    p_bench.add_argument("--with-derived", action="store_true", help="query base plus materialized delta")
 
-    p_stats = sub.add_parser("stats", help="store statistics as metric,value CSV")
-    p_stats.add_argument("--store", required=True, type=Path)
-    p_stats.add_argument("--singleton-prop", default=None)
-    p_stats.add_argument("--singleton-class", default=None)
-    p_stats.add_argument("--with-derived", action="store_true")
-
+    sub.add_parser("stats", parents=[store, singleton, derived], help="store statistics as metric,value CSV")
     return parser
 
 
@@ -103,10 +94,11 @@ def _singleton_violations(args, store, view) -> list:
 
 def _open_view(args):
     store = storage.open_store(args.store)
-    if getattr(args, "with_derived", False) and store.delta:
+    # A damaged delta fails only the commands that query it.
+    if args.with_derived and (delta := storage.read_delta(store)):
         from .semantics import StoreView
 
-        return store, StoreView(store, store.delta)
+        return store, StoreView(store, delta)
     return store, store
 
 
@@ -228,14 +220,9 @@ def _cmd_stats(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["metric", "value"])
     writer.writerow(["triples", triples])
-    if args.with_derived:
-        nodes, literals = len(store.dictionary), store.dictionary.literal_count()
-    else:  # base's terms only, not those the delta minted
-        even, literals = store.dictionary.table_sizes()
-        nodes = even + literals
-    writer.writerow(["nodes", nodes])
+    writer.writerow(["nodes", len(store.dictionary)])
     writer.writerow(["edges", 2 * triples])
-    writer.writerow(["literals", literals])
+    writer.writerow(["literals", store.dictionary.literal_count()])
     writer.writerow(["singletons", len(singletons)])
     return 0
 

@@ -167,9 +167,5 @@ class Dictionary:
         the dictionary is in use."""
         return self._added
 
-    def table_sizes(self) -> tuple[int, int]:
-        """How many even ids and how many odd ids the tables hold."""
-        return self._sizes
-
     def literal_count(self) -> int:
         return (self._next_odd - 1) // 2

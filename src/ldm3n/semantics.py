@@ -45,16 +45,10 @@ RDFS_SUB_CLASS_OF = IRI(RDFS_NS + "subClassOf")
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Well-known terms, with the singleton pair overridable per dataset."""
+    """The singleton pair, which datasets bind in different namespaces."""
 
-    type: Term = RDF_TYPE
-    property: Term = RDF_PROPERTY
     singleton_class: Term = RDF_SINGLETON_PROPERTY
     singleton_property_of: Term = RDF_SINGLETON_PROPERTY_OF
-    domain: Term = RDFS_DOMAIN
-    range: Term = RDFS_RANGE
-    sub_property_of: Term = RDFS_SUB_PROPERTY_OF
-    sub_class_of: Term = RDFS_SUB_CLASS_OF
 
     def with_singleton(self, property_of: str | None = None, singleton_class: str | None = None) -> Vocabulary:
         kwargs = {}
@@ -81,11 +75,9 @@ class ResolvedVocabulary:
 
 def resolve_vocabulary(dictionary: Dictionary, vocab: Vocabulary | None = None) -> ResolvedVocabulary:
     vocab = vocab or Vocabulary()
-    resolved = ResolvedVocabulary()
-    for name in ResolvedVocabulary.__dataclass_fields__:
-        term_id = dictionary.lookup(getattr(vocab, name))
-        setattr(resolved, name, term_id if term_id is not None else 0)
-    return resolved
+    terms = (RDF_TYPE, RDF_PROPERTY, vocab.singleton_class, vocab.singleton_property_of,
+             RDFS_DOMAIN, RDFS_RANGE, RDFS_SUB_PROPERTY_OF, RDFS_SUB_CLASS_OF)
+    return ResolvedVocabulary(*(dictionary.lookup(term) or 0 for term in terms))
 
 
 class StoreView:
@@ -293,9 +285,8 @@ def entail_fixpoint(
     when the derived count passes ``max_derived``.
     """
     rules = list(rules)
-    vocab = vocab or Vocabulary()
     if any(r in (Rule.DOMAIN, Rule.RANGE, Rule.RDFS9) for r in rules):
-        store.dictionary.encode(vocab.type)
+        store.dictionary.encode(RDF_TYPE)
     resolved = resolve_vocabulary(store.dictionary, vocab)
     schema = [i for i in (resolved.sub_property_of, resolved.domain, resolved.range) if i]
     vocab_ids = {i for i in (*schema, resolved.sub_class_of, resolved.type) if i}

@@ -25,12 +25,15 @@ are the sections' sizes. Sections are written straight from the arrays that
 hold the integer columns and from the term tables' UTF-8 bytes in chunks of
 tokens, so no section is copied whole on its way to the file.
 Stores of versions 1 to 3 are refused with a message to reload them.
-Opening a store checks every CRC, that ``rows`` never decreases and ends at
-the length of ``p`` and ``o``, and that every id of ``by_token`` and of the
-triple columns was issued (and, in ``base``, that no predicate is a
-literal), then takes views of the bytes: no term is parsed until it is
-decoded. The initial/terminal edge pair of each triple is implicit in its
-row, so the same rows serve both traversal models. Loading keeps three id
+``open_store`` reads ``base`` alone. It checks every CRC, that ``rows``
+never decreases and ends at the length of ``p`` and ``o``, and that every id
+of ``by_token``, ``p`` and ``o`` was issued and no predicate is a literal,
+then takes views of the bytes: no term is parsed until it is decoded.
+``read_delta`` reads ``delta``, checking its CRCs, the base CRC it records
+and its ids, and only the commands that query derived triples call it: a
+damaged ``delta`` fails those alone, and ``save_delta`` replaces it. The
+initial/terminal edge pair of each triple is implicit in its row, so the
+same rows serve both traversal models. Loading keeps three id
 columns while the input streams, then packs each triple into one key only as
 wide as the ids need, sorts the keys and drops exact duplicates (set
 semantics); each row is so sorted by (pred, obj), and every downstream answer
@@ -96,7 +99,7 @@ class LoadReport:
 
 @dataclass
 class Store:
-    """An opened store: dictionary, CSR columns and derived delta.
+    """An opened ``base``: dictionary and CSR columns.
 
     Row ``i`` holds the triples of subject ``2 * (i + 1)``: positions
     ``rows[i]`` to ``rows[i + 1]`` of the ``p`` and ``o`` columns.
@@ -107,7 +110,6 @@ class Store:
     rows: Sequence[int]
     p: Sequence[int]
     o: Sequence[int]
-    delta: list[tuple[int, int, int]] = field(default_factory=list)
     base_crc: int = 0
     # The subject of each position of ``p`` and ``o``, built from ``rows`` by
     # the first ``iter_triples``; not a cached_property, since writing through
@@ -265,16 +267,15 @@ def save_delta(store: Store, delta: list[tuple[int, int, int]]) -> None:
 
     ``base`` is never rewritten; an empty delta removes the ``delta`` file.
     """
-    store.delta = list(delta)
     path = store.config.path / "delta"
-    if not store.delta:
+    if not delta:
         # An old delta would otherwise outlive the derivations it held.
         if _remove(path):
             _sync_dir(path.parent)
         return
     # The store stays in use: its token lists are copied, not emptied.
     even, odd = map(list, store.dictionary.added())
-    s, p, o = zip(*store.delta)
+    s, p, o = zip(*delta)
     _write_file(path, [
         _int_section([store.base_crc]),
         *_term_sections(even),
@@ -529,25 +530,30 @@ def open_store(path: Path | str) -> Store:
     # gives a literal subject).
     _check_ids(base, "p", p, dictionary, literals=False)
     _check_ids(base, "o", o, dictionary)
+    return Store(StoreConfig(path), dictionary, rows, p, o, base_crc=base.crc)
 
-    delta: list[tuple[int, int, int]] = []
-    if (path / "delta").exists():
-        f = _read_file(path / "delta", _DELTA_SECTIONS)
-        recorded = list(f.ints("base"))
-        if recorded != [base.crc]:
-            raise f.fail("base", f"written for another base: it records {', '.join(map(hex, recorded))},"
-                                 f" base's section table has CRC {base.crc:#010x}")
-        minted = (f.table("even"), f.table("odd"))
-        _check_tables(f, minted)
-        for literal, table in enumerate(minted):
-            for i in range(len(table)):
-                try:
-                    dictionary.issue(table.raw(i).decode("utf-8"), bool(literal))
-                except UnicodeDecodeError as exc:
-                    raise f.fail(("even_tok", "odd_tok")[literal], f"token {i}: {exc}") from None
-        columns = _columns(f, "spo")
-        for name, column in zip("spo", columns):
-            _check_ids(f, name, column, dictionary)
-        delta = list(zip(*columns))
 
-    return Store(StoreConfig(path), dictionary, rows, p, o, delta=delta, base_crc=base.crc)
+def read_delta(store: Store) -> list[tuple[int, int, int]]:
+    """The derived triples of the store's ``delta``, in derivation order, or
+    [] when it has none; raises StoreCorrupt on any mismatch. Issues the terms
+    the delta minted into ``store.dictionary``, so call it once per store."""
+    path = store.config.path / "delta"
+    if not path.exists():
+        return []
+    f = _read_file(path, _DELTA_SECTIONS)
+    recorded = list(f.ints("base"))
+    if recorded != [store.base_crc]:
+        raise f.fail("base", f"written for another base: it records {', '.join(map(hex, recorded))},"
+                             f" base's section table has CRC {store.base_crc:#010x}")
+    minted = (f.table("even"), f.table("odd"))
+    _check_tables(f, minted)
+    for literal, table in enumerate(minted):
+        for i in range(len(table)):
+            try:
+                store.dictionary.issue(table.raw(i).decode("utf-8"), bool(literal))
+            except UnicodeDecodeError as exc:
+                raise f.fail(("even_tok", "odd_tok")[literal], f"token {i}: {exc}") from None
+    columns = _columns(f, "spo")
+    for name, column in zip("spo", columns):
+        _check_ids(f, name, column, store.dictionary)
+    return list(zip(*columns))

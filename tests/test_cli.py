@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import struct
@@ -282,22 +283,46 @@ def test_entail_materialize_then_query_with_derived(tmp_path, capsys):
 RDFS = "http://www.w3.org/2000/01/rdf-schema#"
 
 
+# Entailment over it takes three rounds and mints rdf:type for the domain rule.
+SCHEMA = (
+    f"<{EX}a> <{RDFS}subPropertyOf> <{EX}b> .\n"
+    f"<{EX}b> <{RDFS}subPropertyOf> <{EX}c> .\n"
+    f"<{EX}x> <{EX}a> <{EX}y> .\n"
+    f"<{EX}b> <{RDFS}domain> <{EX}D> .\n"
+)
+
+
 @pytest.fixture
 def derived_store(tmp_path, capsys):
     """A 4-triple store whose materialized delta holds 4 derived triples."""
     nt = tmp_path / "schema.nt"
-    nt.write_text(
-        f"<{EX}a> <{RDFS}subPropertyOf> <{EX}b> .\n"
-        f"<{EX}b> <{RDFS}subPropertyOf> <{EX}c> .\n"
-        f"<{EX}x> <{EX}a> <{EX}y> .\n"
-        f"<{EX}b> <{RDFS}domain> <{EX}D> .\n",
-        encoding="utf-8",
-    )
+    nt.write_text(SCHEMA, encoding="utf-8")
     store = tmp_path / "s"
     assert main(["load", "--store", str(store), "--input", str(nt)]) == 0
     assert main(["entail", "--store", str(store), "--materialize"]) == 0
     assert "# summary: derived=4" in capsys.readouterr().out
     return store, nt
+
+
+def test_entail_stdout_and_delta_bytes_are_pinned(tmp_path, capsys):
+    """``entail`` prints the derived triples in the fixpoint's order, and a
+    materialize writes the same ``delta`` bytes on a fresh load and over the
+    delta it replaces."""
+    nt = tmp_path / "schema.nt"
+    nt.write_text(SCHEMA, encoding="utf-8")
+    store = tmp_path / "s"
+    assert main(["load", "--store", str(store), "--input", str(nt)]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["entail", "--store", str(store), "--materialize"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("# summary: derived=4 rounds=3 singleton_violations=0\n")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "e50f3d33004c1e204701687b572fc1ed4180356259b06a8fedfaf1d35edf42ce"
+        )
+        assert hashlib.sha256((store / "delta").read_bytes()).hexdigest() == (
+            "7bece786237b0504cebcf2e6835a17f7eac79bb56106377006c2d6d7004d1021"
+        )
 
 
 def stats_triples(store, capsys) -> str:

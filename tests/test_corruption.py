@@ -1,9 +1,12 @@
 """A damaged store fails loudly or not at all.
 
 For any truncation or single-byte flip of any file of a store with a
-materialized delta, ``open_store`` either raises StoreCorrupt or returns a
-store whose answers equal the BFS oracles' on the undamaged triples; the CLI
-turns the failure into exit code 3 with no traceback.
+materialized delta, ``open_store`` and ``read_delta`` either raise
+StoreCorrupt or return a store and derived triples whose answers equal the
+BFS oracles' on the undamaged triples; the CLI turns the failure into exit
+code 3 with no traceback. Only the commands that query derived triples read
+``delta``, so a damaged one fails those alone, and ``entail --materialize``
+replaces it.
 """
 
 import shutil
@@ -16,11 +19,11 @@ from ldm3n import Literal, Model, StoreConfig, Triple, create_store, forward_tra
 from ldm3n.cli import main
 from ldm3n.errors import StoreCorrupt
 from ldm3n.semantics import RDFS_DOMAIN, StoreView, entail_fixpoint
-from ldm3n.storage import save_delta
+from ldm3n.storage import read_delta, save_delta
 from ldm3n.traversal import shortest_path
 
 import layout
-from conftest import ex, succession_triples
+from conftest import EX, ex, succession_triples
 from oracles import labeled_arc_distances, triple_node_distances
 
 # The domain triple makes entailment type both singleton properties as
@@ -102,12 +105,13 @@ def test_damaged_store_raises_or_answers_as_the_oracle(pristine, data):
     damaged_copy(files, work, name, offset, flip)
     try:
         store = open_store(work)
+        delta = read_delta(store)
     except StoreCorrupt:
         return
     base = expected["base"]
     assert engine_answers(store, store.dictionary, base) == base
     assert store.triple_count() == len(BASE)
-    union = StoreView(store, store.delta)
+    union = StoreView(store, delta)
     assert engine_answers(union, store.dictionary, expected["union"]) == expected["union"]
     assert union.triple_count() == len(BASE) + 2
 
@@ -116,7 +120,7 @@ def test_undamaged_store_answers_as_the_oracle(pristine):
     files, expected, work = pristine
     store = open_store(damaged_copy(files, work, "", 0, 0))
     assert engine_answers(store, store.dictionary, expected["base"]) == expected["base"]
-    union = StoreView(store, store.delta)
+    union = StoreView(store, read_delta(store))
     assert engine_answers(union, store.dictionary, expected["union"]) == expected["union"]
     # The derived typing shortens the walk to the office: 4 edges through the
     # domain declaration, 3 through holdsPos#1's own type triple.
@@ -143,6 +147,48 @@ def test_damaged_store_exits_three(pristine, capsys, name, how):
     assert code == 3
     assert err.startswith("error: ") and str(work / file_name) in err
     assert "Traceback" not in err
+
+
+# Commands that answer from base alone; the singleton options make validate
+# and stats count base's singleton properties.
+BASE_ONLY = [
+    ["spath", "--model", "ldm3n", "--source", f"<{EX}BillClinton>", "--target", f"<{EX}Office>"],
+    ["validate", "--singleton-prop", EX + "singletonPropOf"],
+    ["stats", "--singleton-prop", EX + "singletonPropOf"],
+]
+
+
+def run_cli(capsys, work, command: list[str]):
+    code = main([command[0], "--store", str(work), *command[1:]])
+    return code, capsys.readouterr()
+
+
+def damage_delta(files: dict, work):
+    """The store with a byte in the middle of delta's ``s`` section flipped."""
+    at, body, _ = layout.sections(Path("delta"), files["delta"])["s"]
+    return damaged_copy(files, work, "delta", at + len(body) // 2, 0x40)
+
+
+def test_damaged_delta_fails_only_commands_with_derived(pristine, capsys):
+    files, _, work = pristine
+    damaged_copy(files, work, "", 0, 0)
+    undamaged = [run_cli(capsys, work, command) for command in BASE_ONLY]
+    assert [code for code, _ in undamaged] == [0, 0, 0]
+    damage_delta(files, work)
+    assert [run_cli(capsys, work, command) for command in BASE_ONLY] == undamaged
+    code, captured = run_cli(capsys, work, ["stats", "--with-derived"])
+    assert code == 3
+    assert captured.err.startswith(f"error: {work / 'delta'}: ") and "Traceback" not in captured.err
+
+
+def test_materialize_replaces_a_damaged_delta(pristine, capsys):
+    files, _, work = pristine
+    damage_delta(files, work)
+    assert run_cli(capsys, work, ["entail", "--materialize"])[0] == 0
+    code, captured = run_cli(capsys, work, ["stats", "--with-derived"])
+    assert code == 0 and "triples,10" in captured.out
+    # The pristine delta is a fresh materialize of the same base.
+    assert (work / "delta").read_bytes() == files["delta"]
 
 
 def test_decreasing_rows_are_rejected(tmp_path, capsys):
