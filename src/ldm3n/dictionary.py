@@ -6,20 +6,24 @@ ever have outgoing pairs. Id 0 is reserved as the "no node" sentinel and is
 never issued. Blank nodes can be subjects, so they count as non-literals.
 
 Terms are keyed by their N-Triples token. An opened store's terms stay in
-its term tables, undecoded, until one is asked for; terms issued after the
-tables (while loading, or minted by entailment) are held in memory.
+its term tables, deflated in blocks, until one is asked for; terms issued
+after the tables (while loading, or minted by entailment) are held in memory.
 """
 
 from __future__ import annotations
 
+import zlib
 from bisect import bisect_left
 from heapq import merge
 from typing import Callable, Iterator, Sequence
 
-from .errors import CapacityExhausted, UnknownId
+from .errors import CapacityExhausted, StoreCorrupt, UnknownId
 from .terms import Literal, Term, format_term, parse_term
 
 MAX_ID = 2**64 - 1
+# Tokens per zlib block of a term table.
+_BLOCK_BITS = 6
+BLOCK = 1 << _BLOCK_BITS
 
 
 def is_literal_id(term_id: int) -> bool:
@@ -35,32 +39,65 @@ def id_index(term_id: int) -> int:
 
 
 class TermTable:
-    """Tokens of one parity, in id order: token i is the UTF-8 bytes
-    ``data[at + offsets[i] : at + offsets[i + 1]]``."""
+    """Tokens of one parity, in id order, in zlib blocks of ``BLOCK`` tokens.
 
-    def __init__(self, offsets: Sequence[int] = (0,), data: bytes = b"", at: int = 0):
+    Token i is the UTF-8 bytes ``offsets[i]`` to ``offsets[i + 1]`` of the
+    table's whole text. Block b holds the text of tokens ``BLOCK * b`` up to
+    ``BLOCK * (b + 1)``, deflated on its own, at ``data[at + starts[b] : at +
+    starts[b + 1]]``. A block is inflated the first time one of its tokens
+    is read, checked against the length its offsets give, and kept; a block
+    that does not inflate to that length raises StoreCorrupt naming ``where``
+    (the file and section), the block's byte offset and what was expected.
+    """
+
+    def __init__(self, offsets: Sequence[int] = (0,), starts: Sequence[int] = (0,), data: bytes = b"", at: int = 0,
+                 where: str = ""):
         self.offsets = offsets
+        self.starts = starts
         self.data = data
         self.at = at
+        self.where = where
+        self._blocks: dict[int, bytes] = {}
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
     def raw(self, i: int) -> bytes:
-        at = self.at
-        return self.data[at + self.offsets[i] : at + self.offsets[i + 1]]
+        offsets = self.offsets
+        b = i >> _BLOCK_BITS
+        block = self._blocks.get(b)
+        if block is None:
+            block = self._inflate(b)
+        first = offsets[b << _BLOCK_BITS]
+        return block[offsets[i] - first : offsets[i + 1] - first]
+
+    def _inflate(self, b: int) -> bytes:
+        lo = b << _BLOCK_BITS
+        hi = min(lo + BLOCK, len(self))
+        size = self.offsets[hi] - self.offsets[lo]
+        start = self.at + self.starts[b]
+        try:
+            block = zlib.decompress(memoryview(self.data)[start : self.at + self.starts[b + 1]], bufsize=max(size, 1))
+        except zlib.error as exc:
+            found = f"does not inflate ({exc})"
+        else:
+            if len(block) == size:
+                self._blocks[b] = block
+                return block
+            found = f"inflates to {len(block)} bytes"
+        raise StoreCorrupt(f"{self.where}: block {b} at byte offset {start} {found},"
+                           f" expected {size} bytes: tokens {lo} to {hi - 1}")
 
 
 def _token_key(tables: tuple[TermTable, TermTable]) -> Callable[[int], bytes]:
-    """The token bytes of a table id, in one Python call: the key that
-    lookups bisect ``by_token`` with."""
-    (even_off, even_data, even_at), (odd_off, odd_data, odd_at) = ((t.offsets, t.data, t.at) for t in tables)
+    """The token bytes of a table id, read through the tables' block caches:
+    the key that lookups bisect ``by_token`` with."""
+    even, odd = (t.raw for t in tables)
 
     def key(term_id: int) -> bytes:
-        i = term_id >> 1
         if term_id & 1:
-            return odd_data[odd_at + odd_off[i] : odd_at + odd_off[i + 1]]
-        return even_data[even_at + even_off[i - 1] : even_at + even_off[i]]
+            return odd(term_id >> 1)
+        return even((term_id >> 1) - 1)
 
     return key
 

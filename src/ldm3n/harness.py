@@ -311,11 +311,12 @@ def read_pairs_csv(lines: Iterable[str], store) -> list[tuple[int, int]]:
     Accepts bare IRIs or N-Triples tokens; a header row is skipped when
     present. A term missing from the store raises UnknownNode, and a
     malformed row ValueError; either message starts with the row's line
-    number.
+    number. Each distinct cell is resolved once.
     """
     from .terms import parse_term
 
     pairs: list[tuple[int, int]] = []
+    resolved: dict[str, int] = {}
     reader = csv.reader(lines)
     for row in reader:
         if not row or row[0].strip().startswith("#"):
@@ -328,12 +329,15 @@ def read_pairs_csv(lines: Iterable[str], store) -> list[tuple[int, int]]:
         ids = []
         for cell in row[:2]:
             cell = cell.strip()
-            try:
-                term = parse_term(cell) if cell[:1] in ("<", '"', "_") else IRI(cell)
-                ids.append(store.resolve(term))
-            except UnknownNode as exc:
-                raise UnknownNode(f"{where}: {exc}") from None
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+            term_id = resolved.get(cell)
+            if term_id is None:
+                try:
+                    term = parse_term(cell) if cell[:1] in ("<", '"', "_") else IRI(cell)
+                    term_id = resolved[cell] = store.resolve(term)
+                except UnknownNode as exc:
+                    raise UnknownNode(f"{where}: {exc}") from None
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+            ids.append(term_id)
         pairs.append((ids[0], ids[1]))
     return pairs

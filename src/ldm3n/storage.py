@@ -6,9 +6,12 @@ optional ``delta``, written by ``save_delta``. Each file starts with a
 section table, u32 section count) and a table of 24-byte entries (u64
 offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
 
-    base    even_off, even_tok      term table of the even ids 2, 4, 6, ...:
-            odd_off, odd_tok        token i is tok[off[i]:off[i + 1]], and
-                                    likewise for the odd ids 1, 3, 5, ...
+    base    even_off, even_blk,     term table of the even ids 2, 4, 6, ...,
+            even_tok                and likewise odd_* for the odd ids 1, 3,
+            odd_off, odd_blk,       5, ...: token i is bytes off[i] to
+            odd_tok                 off[i + 1] of the table's text, which
+                                    tok holds as zlib blocks of 64 tokens;
+                                    block b is tok[blk[b]:blk[b + 1]]
             by_token                every id, sorted by token bytes
             rows                    CSR row starts, indexed by id // 2 - 1
             p, o                    the distinct triples, sorted by (s, p, o);
@@ -21,14 +24,21 @@ offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
 Integer sections are little-endian with itemsize 4, or 8 when a value needs
 it. A base triple's subject is not stored: ``rows`` implies it. Nor is the
 load report, which ``load_triples`` returns and ``load`` prints; the counts
-are the sections' sizes. Sections are written straight from the arrays that
-hold the integer columns and from the term tables' UTF-8 bytes in chunks of
-tokens, so no section is copied whole on its way to the file.
-Stores of versions 1 to 3 are refused with a message to reload them.
-``open_store`` reads ``base`` alone. It checks every CRC, that ``rows``
-never decreases and ends at the length of ``p`` and ``o``, and that every id
-of ``by_token``, ``p`` and ``o`` was issued and no predicate is a literal,
-then takes views of the bytes: no term is parsed until it is decoded.
+are the sections' sizes. Each block of a term table is the UTF-8 text of 64
+consecutive tokens, deflated on its own (``zlib.compress`` at level 1), so a
+token costs one inflate of its block, which the table then keeps, and one
+slice; the offsets stay uncompressed, and ``blk`` holds each block's start
+in ``tok`` and then ``tok``'s length. Sections are written straight from the
+arrays that hold the integer columns and from the blocks, so no section is
+copied whole on its way to the file.
+Stores of versions 1 to 4 are refused with a message to reload them.
+``open_store`` reads ``base`` alone. It checks every CRC, that each table
+has one block start per 64 tokens, that ``rows`` never decreases and ends at
+the length of ``p`` and ``o``, and that every id of ``by_token``, ``p`` and
+``o`` was issued and no predicate is a literal, then takes views of the
+bytes: no block is inflated and no term parsed until a token is read. A
+block that does not inflate to the length its offsets give raises
+StoreCorrupt when it is read.
 ``read_delta`` reads ``delta``, checking its CRCs, the base CRC it records
 and its ids, and only the commands that query derived triples call it: a
 damaged ``delta`` fails those alone, and ``save_delta`` replaces it. The
@@ -53,20 +63,20 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import and_, countOf, eq, le, lshift, ne, or_, rshift
+from operator import add, and_, countOf, eq, le, lshift, ne, or_, rshift
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .dictionary import MAX_ID, Dictionary, TermTable
+from .dictionary import BLOCK, MAX_ID, Dictionary, TermTable
 from .errors import StoreCorrupt, UnknownNode
 from .terms import Term, Triple, format_term, parse_term
 
 MAGIC = b"LDM3N\0"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _HEADER = struct.Struct("<6sHII")
 _ENTRY = struct.Struct("<QQII")
 _COUNT = struct.Struct("<I")
-_TERM_SECTIONS = ("even_off", "even_tok", "odd_off", "odd_tok")
+_TERM_SECTIONS = ("even_off", "even_blk", "even_tok", "odd_off", "odd_blk", "odd_tok")
 _BASE_SECTIONS = (*_TERM_SECTIONS, "by_token", "rows", "p", "o")
 _DELTA_SECTIONS = ("base", *_TERM_SECTIONS, "s", "p", "o")
 _BYTE_SECTIONS = {"even_tok", "odd_tok"}
@@ -75,10 +85,10 @@ _LITTLE = sys.byteorder == "little"
 # Byte translations: 1 for an odd byte, and 1 for a 0 byte.
 _ODD = bytes(i & 1 for i in range(256))
 _NOT = bytes([1]) + bytes(255)
-# Tokens per chunk of a term table's bytes, and ids per chunk of a parity scan.
+# Ids per chunk of a parity scan.
 _CHUNK = 1 << 14
 
-Section = array | list[bytes]  # an integer column, or bytes in chunks
+Section = array | list[bytes]  # an integer column, or a term table's blocks
 
 
 @dataclass
@@ -195,8 +205,9 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     packs the triples as keys ``s << 2w | p << w | o``, where ``w`` is the bit
     length of the largest id, so the keys sort as ``(s, p, o)`` does. Row ``i``
     starts where bisection puts subject ``2 * (i + 1)`` among the keys. What
-    the load holds after its input ends only shrinks: the token lists are
-    freed as their bytes are made, before any key is; the columns are freed
+    the load holds after its input ends only shrinks: the token dict is
+    freed before ``by_token`` is sorted from the token lists; the lists are
+    freed as their blocks are made, before any key is; the columns are freed
     once the keys are sorted; and each section goes straight into an array.
     """
     dictionary = Dictionary()
@@ -218,10 +229,12 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     top = max(evens.stop, odds.stop) - 2  # the largest id
     width = top.bit_length()
 
-    # Code point order is the UTF-8 byte order that lookups bisect in.
-    by_token = _int_section(map(ids.__getitem__, sorted(ids)), top)
     ids.clear()  # the token lists below still hold every token, in id order
     even, odd = dictionary.added()
+    # Code point order is the UTF-8 byte order that lookups bisect in. Every
+    # literal starts with '"', which sorts before '<' and '_', so the odd ids
+    # come first; each parity's order is sorted only once the other's is used.
+    by_token = _int_section(chain.from_iterable(_token_order(*table) for table in ((odd, 1), (even, 2))), top)
     # The token strings are freed before the keys are made.
     tables = [*_term_sections(even), *_term_sections(odd)]
     keys = _sorted_keys(columns, width)
@@ -241,6 +254,11 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
         _sync_dir(config.path)
     _write_file(config.path / "base", sections)
     return report
+
+
+def _token_order(tokens: list[str], first: int) -> Iterator[int]:
+    """The ids ``first, first + 2, ...`` of ``tokens``, in token order."""
+    return map(add, map(lshift, sorted(range(len(tokens)), key=tokens.__getitem__), repeat(1)), repeat(first))
 
 
 def _sorted_keys(columns: tuple[array, array, array], width: int) -> list[int]:
@@ -304,16 +322,16 @@ def _int_section(values: Iterable[int], top: int = MAX_ID) -> array:
 
 
 def _term_sections(tokens: list[str]) -> list[Section]:
-    """Token offsets, then the tokens' UTF-8 bytes back to back, in chunks
-    of ``_CHUNK`` tokens: no copy of the whole table is made. Empties
-    ``tokens`` from the end, a chunk at a time, as the bytes are made."""
+    """Token offsets, block starts, then the tokens' UTF-8 bytes deflated in
+    blocks of ``BLOCK`` tokens: no copy of the whole table is made. Empties
+    ``tokens`` from the end, a block at a time, as the blocks are made."""
     offsets = _int_section(accumulate(map(len, map(str.encode, tokens)), initial=0))
-    chunks = []
-    for i in reversed(range(0, len(tokens), _CHUNK)):
-        chunks.append("".join(tokens[i:]).encode("utf-8"))
+    blocks = []
+    for i in reversed(range(0, len(tokens), BLOCK)):
+        blocks.append(zlib.compress("".join(tokens[i:]).encode("utf-8"), 1))
         del tokens[i:]
-    chunks.reverse()
-    return [offsets, chunks]
+    blocks.reverse()
+    return [offsets, _int_section(accumulate(map(len, blocks), initial=0)), blocks]
 
 
 def _write_file(path: Path, sections: list[Section]) -> None:
@@ -388,13 +406,15 @@ class _File:
 
     def table(self, parity: str) -> TermTable:
         offsets = self.ints(parity + "_off")
+        if len(offsets) < 1 or offsets[0] != 0:
+            raise self.fail(parity + "_off", "offsets must start at 0")
+        starts = self.ints(parity + "_blk")
         at, length, _ = self.sections[parity + "_tok"]
-        if len(offsets) < 1 or offsets[0] != 0 or offsets[-1] != length:
-            raise StoreCorrupt(
-                f"{self.path}: section {parity}_off: offsets must run from 0 to {length},"
-                f" the length of {parity}_tok at byte offset {at}"
-            )
-        return TermTable(offsets, self.data, at)
+        blocks = -(-(len(offsets) - 1) // BLOCK)
+        if len(starts) != blocks + 1 or starts[0] != 0 or starts[-1] != length:
+            raise self.fail(parity + "_blk", f"expected {blocks + 1} block starts from 0 to {length},"
+                                             f" the length of {parity}_tok at byte offset {at}")
+        return TermTable(offsets, starts, self.data, at, f"{self.path}: section {parity}_tok")
 
     def fail(self, name: str, what: str) -> StoreCorrupt:
         return StoreCorrupt(f"{self.path}: section {name} at byte offset {self.sections[name][0]}: {what}")

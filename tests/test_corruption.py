@@ -9,7 +9,9 @@ code 3 with no traceback. Only the commands that query derived triples read
 replaces it.
 """
 
+import re
 import shutil
+import zlib
 from pathlib import Path
 
 import pytest
@@ -208,3 +210,41 @@ def test_decreasing_rows_are_rejected(tmp_path, capsys):
                  "--source", f"<{ex('BillClinton').value}>", "--target", f"<{ex('GeorgeWBush').value}>"])
     err = capsys.readouterr().err
     assert code == 3 and err.startswith(f"error: {base}: section rows") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("how", ["zlib_error", "wrong_length"])
+def test_damaged_block_fails_where_it_is_read(tmp_path, capsys, how):
+    """A CRC-valid ``base`` whose first block of even tokens does not inflate,
+    or inflates to the wrong length, opens, since only the last block of each
+    table is read at open; reading a token of that block fails with exit code
+    3, naming the file, the section, the block's byte offset and the expected
+    length."""
+    path = tmp_path / "blocks"
+    # 81 even tokens: two blocks, the first of which holds s/0.
+    create_store(StoreConfig(path), [Triple(ex(f"s/{i}"), ex("p"), ex(f"o/{i}")) for i in range(40)])
+    base = path / "base"
+    blocks = layout.blocks(base, "even")
+    assert len(blocks) == 2
+    text = zlib.decompress(blocks[0])
+    if how == "zlib_error":
+        blocks[0] = bytes(len(blocks[0]))
+        found = re.escape("does not inflate (Error -3 while decompressing data: ") + ".+" + re.escape(")")
+    else:
+        blocks[0] = zlib.compress(text + b"x")
+        found = re.escape(f"inflates to {len(text) + 1} bytes")
+    layout.rewrite_blocks(base, "even", blocks)
+    at = layout.sections(base)["even_tok"][0]
+    message = (re.escape(f"{base}: section even_tok: block 0 at byte offset {at} ") + found
+               + re.escape(f", expected {len(text)} bytes: tokens 0 to 63"))
+    store = open_store(path)
+    assert store.token(162) == f"<{EX}o/39>"  # the last even token, in the second block
+    with pytest.raises(StoreCorrupt) as exc:
+        store.decode(2)  # s/0, the first even token
+    assert re.fullmatch(message, str(exc.value))
+    with pytest.raises(StoreCorrupt) as exc:
+        open_store(path).resolve(ex("s/0"))
+    assert re.fullmatch(message, str(exc.value))
+    code = main(["spath", "--store", str(path), "--model", "ldm3n",
+                 "--source", f"<{EX}s/0>", "--target", f"<{EX}o/0>"])
+    err = capsys.readouterr().err
+    assert code == 3 and re.fullmatch(f"error: {message}\n", err)

@@ -463,6 +463,18 @@ def test_read_pairs_csv_accepts_bare_and_token_forms(make_store):
         read_pairs_csv(io.StringIO(text + f"{EX}a,{EX}missing\n"), store)
 
 
+def test_read_pairs_csv_resolves_each_distinct_cell_once(make_store, monkeypatch):
+    store = make_store([Triple(ex("a"), ex("p"), ex("b"))])
+    a, b = store.resolve(ex("a")), store.resolve(ex("b"))
+    resolved = []
+    resolve = store.resolve
+    monkeypatch.setattr(store, "resolve", lambda term: resolved.append(term) or resolve(term))
+    text = f"{EX}a,{EX}b\n{EX}b,{EX}a\n <{EX}a>,{EX}b \n{EX}a,{EX}b\n"
+    assert read_pairs_csv(io.StringIO(text), store) == [(a, b), (b, a), (a, b), (a, b)]
+    # The token form of a is a cell of its own.
+    assert resolved == [ex("a"), ex("b"), ex("a")]
+
+
 @pytest.mark.parametrize(
     ("row", "reason"),
     [(f"<{EX}a,{EX}b", "unterminated IRI"), (f",{EX}b", "IRI must be non-empty"),

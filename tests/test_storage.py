@@ -10,6 +10,7 @@ import tracemalloc
 import zlib
 from array import array
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,7 +59,10 @@ def test_base_bytes_are_pinned(tmp_path):
     base = tmp_path / "base"
     _, rows, itemsize = layout.sections(base)["rows"]
     assert layout.ints(rows, itemsize) == [0, 1, 2, 3, 6, 6, 7, 7]
-    assert hashlib.sha256(base.read_bytes()).hexdigest() == (
+    # Deflate's bytes may differ between zlib builds, so the digest is of the
+    # file with its tables inflated, which is format 4's file.
+    layout.check_blocks(base)
+    assert hashlib.sha256(layout.as_v4(base)).hexdigest() == (
         "eeefd52b8641c6615ae186407f6f39efab3cde53b6207457a74670d464e3bca1"
     )
 
@@ -86,7 +90,8 @@ def test_parsed_base_bytes_are_pinned(tmp_path):
     ]
     report = load_triples(StoreConfig(tmp_path), tokens)
     assert (report.triples, report.distinct_terms, report.duplicates, report.literals) == (4, 8, 1, 4)
-    assert hashlib.sha256((tmp_path / "base").read_bytes()).hexdigest() == (
+    layout.check_blocks(tmp_path / "base")
+    assert hashlib.sha256(layout.as_v4(tmp_path / "base")).hexdigest() == (
         "3280869bbc1438abf8a404cf12c6ea91af338a55f7c9cb6e62f3686568ee2bbf"
     )
 
@@ -252,6 +257,26 @@ def test_load_report_counts_match_a_set_of_triples(triples):
     assert stored == sorted(distinct)
 
 
+# Tokens whose order mixes code points of one, two, three and four UTF-8
+# bytes; every literal starts with '"', which sorts before '<' and '_'.
+token_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+iri = st.text("aZé/0\u20ac\U0001d11e", max_size=3).map(lambda s: f"<{EX}{s}>")
+blank = st.text("aZ0", min_size=1, max_size=3).map(lambda s: "_:b" + s)
+literal = st.one_of(token_text.map(lambda s: format_term(Literal(s))),
+                    token_text.map(lambda s: format_term(Literal(s, language="en"))),
+                    token_text.map(lambda s: format_term(Literal(s, datatype=EX + "dt"))))
+
+
+@given(st.lists(st.tuples(st.one_of(iri, blank), iri, st.one_of(iri, blank, literal))))
+def test_by_token_is_every_id_in_token_order(triples):
+    with tempfile.TemporaryDirectory() as tmp:
+        load_triples(StoreConfig(tmp), triples)
+        _, body, itemsize = layout.sections(Path(tmp) / "base")["by_token"]
+        store = open_store(tmp)
+        ids = {store.token(i): i for i in store.dictionary.ids()}
+    assert layout.ints(body, itemsize) == [ids[t] for t in sorted(ids)]
+
+
 def test_load_memory_only_shrinks_after_the_input_ends(tmp_path):
     """Once the last triple is pulled, the load holds its token dict and
     three id columns; packing, sorting and writing them may add little to
@@ -282,7 +307,7 @@ def test_store_files_exist_with_magic(tmp_path, succession_triples):
     assert sorted(p.name for p in path.iterdir()) == ["base"]
     data = (path / "base").read_bytes()
     magic, version, table_crc, count = layout.HEADER.unpack_from(data)
-    assert (magic, version, count) == (b"LDM3N\0", 4, 8)
+    assert (magic, version, count) == (b"LDM3N\0", 5, 10)
     assert table_crc == zlib.crc32(data[12 : 16 + 24 * count])
     offset = 16 + 24 * count
     for i in range(count):
@@ -430,22 +455,52 @@ def test_section_writer_bytes(tmp_path):
     # checked above).
     assert bytes(storage._int_section([1, 2**32 - 1])) == struct.pack("<2I", 1, 2**32 - 1)
     assert bytes(storage._int_section(iter([1, 2**32]))) == struct.pack("<2Q", 1, 2**32)
-    # A term table written in several chunks reads back as one body, with the
-    # offsets, bytes and CRC of the whole table encoded at once; the token
-    # list is emptied as its bytes are made.
-    tokens = [f"<{EX}t{i}>" if i % 3 else f'"é{i}"' for i in range(2 * storage._CHUNK + 5)]
+    # A term table of three blocks is written block by block, with the block
+    # starts and the CRC of the whole section; the token list is emptied as
+    # its blocks are made.
+    tokens = [f"<{EX}t{i}>" if i % 3 else f'"é{i}"' for i in range(2 * storage.BLOCK + 5)]
     table = list(tokens)
     sections = storage._term_sections(table)
     assert table == []
-    assert len(sections[1]) == 3
+    assert len(sections[2]) == 3
     path = tmp_path / "table"
     storage._write_file(path, sections)
-    f = storage._read_file(path, ("even_off", "even_tok"))  # checks every CRC
-    body = "".join(tokens).encode("utf-8")
+    f = storage._read_file(path, ("even_off", "even_blk", "even_tok"))  # checks every CRC
     at, length, itemsize = f.sections["even_tok"]
-    assert (f.data[at : at + length], itemsize) == (body, 1)
+    body = f.data[at : at + length]
+    assert (body, itemsize) == (b"".join(sections[2]), 1)
+    assert f.ints("even_blk").tolist() == [0, *accumulate(map(len, sections[2]))] and length == len(body)
+    assert struct.unpack_from("<I", f.data, layout.HEADER.size + 2 * layout.ENTRY.size + 20) == (zlib.crc32(body),)
     assert f.ints("even_off").tolist() == [0, *accumulate(len(t.encode("utf-8")) for t in tokens)]
-    assert struct.unpack_from("<I", f.data, layout.HEADER.size + layout.ENTRY.size + 20) == (zlib.crc32(body),)
+    # Each block is the text of its 64 tokens, whatever bytes zlib made of it.
+    n = storage.BLOCK
+    for b, block in enumerate(sections[2]):
+        assert zlib.decompress(block) == "".join(tokens[b * n : b * n + n]).encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+def test_term_tables_round_trip(tmp_path, n):
+    """Tables of up to three blocks, their last one full or not, written by
+    the section writer, read back token by token in any order, and every
+    token resolves to its id."""
+    even = [f"<{EX}\u00e9/{i}/\U0001d11e>" for i in range(n)]
+    odd = [f'"\u00df {i} \u20ac"@de' for i in range(n)]
+    ids = {t: 2 * i + 2 for i, t in enumerate(even)} | {t: 2 * i + 1 for i, t in enumerate(odd)}
+    storage._write_file(tmp_path / "base", [
+        *storage._term_sections(list(even)), *storage._term_sections(list(odd)),
+        storage._int_section(ids[t] for t in sorted(ids)), storage._int_section([0] * (n + 1)),
+        storage._int_section([]), storage._int_section([]),
+    ])
+    layout.check_blocks(tmp_path / "base")
+    f = storage._read_file(tmp_path / "base", storage._BASE_SECTIONS)
+    for parity, tokens in (("even", even), ("odd", odd)):
+        table = f.table(parity)
+        assert len(table) == n
+        assert [table.raw(i) for i in reversed(range(n))] == [t.encode("utf-8") for t in reversed(tokens)]
+    store = open_store(tmp_path)
+    assert len(store.dictionary) == 2 * n
+    for token, term_id in ids.items():
+        assert (store.token(term_id), store.resolve(parse_term(token))) == (token, term_id)
 
 
 def test_big_endian_path_round_trips(tmp_path, monkeypatch, succession_triples):
@@ -474,15 +529,27 @@ def test_version_two_store_is_rejected(tmp_path, capsys):
     assert "unsupported format version 2" in capsys.readouterr().err
 
 
+def test_version_four_store_is_rejected(tmp_path, succession_triples, capsys):
+    path = tmp_path / "v4"
+    create_store(StoreConfig(path), succession_triples)
+    base = path / "base"
+    base.write_bytes(layout.as_v4(base))
+    message = "unsupported format version 4 (this build reads version 5; reload the store from N-Triples)"
+    with pytest.raises(StoreCorrupt, match=re.escape(message)):
+        open_store(path)
+    assert main(["stats", "--store", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {base}: {message}\n"
+
+
 def test_malformed_token_fails_on_decode(tmp_path, succession_triples, capsys):
     path = tmp_path / "tok"
     store = create_store(StoreConfig(path), succession_triples)
     h1 = store.resolve(ex("holdsPos#1"))
     base = path / "base"
-    _, tokens, _ = layout.sections(base)["even_tok"]
+    [block] = layout.blocks(base, "even")
     # Same length and the same sort position; the IRI loses its closing '>'.
     good = f"<{EX}holdsPos#1>".encode()
-    layout.rewrite(base, even_tok=(tokens.replace(good, good[:-1] + b" "), 1))
+    layout.rewrite_blocks(base, "even", [zlib.compress(zlib.decompress(block).replace(good, good[:-1] + b" "))])
     reopened = open_store(path)
     with pytest.raises(StoreCorrupt) as exc:
         reopened.decode(h1)
