@@ -41,52 +41,54 @@ def id_index(term_id: int) -> int:
 class TermTable:
     """Tokens of one parity, in id order, in zlib blocks of ``BLOCK`` tokens.
 
-    Token i is the UTF-8 bytes ``offsets[i]`` to ``offsets[i + 1]`` of the
-    table's whole text. Block b holds the text of tokens ``BLOCK * b`` up to
-    ``BLOCK * (b + 1)``, deflated on its own, at ``data[at + starts[b] : at +
-    starts[b + 1]]``. A block is inflated the first time one of its tokens
-    is read, checked against the length its offsets give, and kept; a block
-    that does not inflate to that length raises StoreCorrupt naming ``where``
-    (the file and section), the block's byte offset and what was expected.
+    Block b holds tokens ``BLOCK * b`` up to ``BLOCK * (b + 1)``, joined by
+    ``\\n`` (a canonical token never holds a raw newline) and deflated on
+    its own, at ``data[at + starts[b] : at + starts[b + 1]]``. No count is
+    stored: every block but the last holds ``BLOCK`` tokens, and the last,
+    which the table inflates when it is made, holds the rest. A block is
+    inflated and split the first time one of its tokens is read, checked,
+    and kept as its list of tokens; a block that does not inflate, or splits
+    into the wrong number of tokens or into an empty one, raises
+    StoreCorrupt naming ``where`` (the file and section), the block's byte
+    offset and what was expected.
     """
 
-    def __init__(self, offsets: Sequence[int] = (0,), starts: Sequence[int] = (0,), data: bytes = b"", at: int = 0,
-                 where: str = ""):
-        self.offsets = offsets
+    def __init__(self, starts: Sequence[int] = (0,), data: bytes = b"", at: int = 0, where: str = ""):
         self.starts = starts
         self.data = data
         self.at = at
         self.where = where
-        self._blocks: dict[int, bytes] = {}
+        self._blocks: list[list[bytes] | None] = [None] * (len(starts) - 1)
+        self._len = 0
+        if self._blocks:
+            self._len = BLOCK * (len(self._blocks) - 1) + len(self._inflate(len(self._blocks) - 1))
 
     def __len__(self) -> int:
-        return len(self.offsets) - 1
+        return self._len
 
     def raw(self, i: int) -> bytes:
-        offsets = self.offsets
-        b = i >> _BLOCK_BITS
-        block = self._blocks.get(b)
+        block = self._blocks[i >> _BLOCK_BITS]
         if block is None:
-            block = self._inflate(b)
-        first = offsets[b << _BLOCK_BITS]
-        return block[offsets[i] - first : offsets[i + 1] - first]
+            block = self._inflate(i >> _BLOCK_BITS)
+        return block[i & (BLOCK - 1)]
 
-    def _inflate(self, b: int) -> bytes:
-        lo = b << _BLOCK_BITS
-        hi = min(lo + BLOCK, len(self))
-        size = self.offsets[hi] - self.offsets[lo]
+    def _inflate(self, b: int) -> list[bytes]:
+        last = b == len(self._blocks) - 1
         start = self.at + self.starts[b]
         try:
-            block = zlib.decompress(memoryview(self.data)[start : self.at + self.starts[b + 1]], bufsize=max(size, 1))
+            block = zlib.decompress(memoryview(self.data)[start : self.at + self.starts[b + 1]]).split(b"\n")
         except zlib.error as exc:
             found = f"does not inflate ({exc})"
         else:
-            if len(block) == size:
+            if (len(block) <= BLOCK if last else len(block) == BLOCK) and all(block):
                 self._blocks[b] = block
                 return block
-            found = f"inflates to {len(block)} bytes"
-        raise StoreCorrupt(f"{self.where}: block {b} at byte offset {start} {found},"
-                           f" expected {size} bytes: tokens {lo} to {hi - 1}")
+            found = f"splits into {len(block)} tokens"
+            if not all(block):
+                found += f", of which token {BLOCK * b + block.index(b'')} is empty"
+        expected = f"1 to {BLOCK}" if last else BLOCK
+        raise StoreCorrupt(f"{self.where}: block {b} at byte offset {start} {found};"
+                           f" expected {expected} non-empty tokens from token {BLOCK * b}")
 
 
 def _token_key(tables: tuple[TermTable, TermTable]) -> Callable[[int], bytes]:

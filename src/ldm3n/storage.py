@@ -6,47 +6,50 @@ optional ``delta``, written by ``save_delta``. Each file starts with a
 section table, u32 section count) and a table of 24-byte entries (u64
 offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
 
-    base    even_off, even_blk,     term table of the even ids 2, 4, 6, ...,
-            even_tok                and likewise odd_* for the odd ids 1, 3,
-            odd_off, odd_blk,       5, ...: token i is bytes off[i] to
-            odd_tok                 off[i + 1] of the table's text, which
-                                    tok holds as zlib blocks of 64 tokens;
-                                    block b is tok[blk[b]:blk[b + 1]]
+    base    even_blk, even_tok      term table of the even ids 2, 4, 6, ...,
+            odd_blk, odd_tok        and likewise odd_* for the odd ids 1, 3,
+                                    5, ...: tok holds zlib blocks of 64
+                                    tokens, block b is tok[blk[b]:blk[b + 1]]
             by_token                every id, sorted by token bytes
-            rows                    CSR row starts, indexed by id // 2 - 1
+            rows                    each even id's triple count, indexed by
+                                    id // 2 - 1
             p, o                    the distinct triples, sorted by (s, p, o);
                                     row i holds those of subject 2 * (i + 1)
     delta   base                    CRC-32 of base's section table
-            even_off ... odd_tok    tokens of terms minted by entailment,
+            even_blk ... odd_tok    tokens of terms minted by entailment,
                                     whose ids continue each parity
             s, p, o                 derived triples, in derivation order
 
 Integer sections are little-endian with itemsize 4, or 8 when a value needs
-it. A base triple's subject is not stored: ``rows`` implies it. Nor is the
-load report, which ``load_triples`` returns and ``load`` prints; the counts
-are the sections' sizes. Each block of a term table is the UTF-8 text of 64
-consecutive tokens, deflated on its own (``zlib.compress`` at level 1), so a
-token costs one inflate of its block, which the table then keeps, and one
-slice; the offsets stay uncompressed, and ``blk`` holds each block's start
-in ``tok`` and then ``tok``'s length. Sections are written straight from the
-arrays that hold the integer columns and from the blocks, so no section is
-copied whole on its way to the file.
-Stores of versions 1 to 4 are refused with a message to reload them.
-``open_store`` reads ``base`` alone. It checks every CRC, that each table
-has one block start per 64 tokens, that ``rows`` never decreases and ends at
-the length of ``p`` and ``o``, and that every id of ``by_token``, ``p`` and
-``o`` was issued and no predicate is a literal, then takes views of the
-bytes: no block is inflated and no term parsed until a token is read. A
-block that does not inflate to the length its offsets give raises
-StoreCorrupt when it is read.
+it; ``rows`` takes itemsize 1 when every count is below 256. A base triple's
+subject is not stored: ``rows`` implies it. Nor is the load report, which
+``load_triples`` returns and ``load`` prints; the counts are the sections'
+sizes. Each block of a term table is the UTF-8 text of 64 consecutive tokens
+joined by newlines, which no canonical token holds raw, deflated on its own
+(``zlib.compress`` at level 1), so a token costs one inflate and split of
+its block, which the table then keeps as a list, and one index. No token
+count is stored: every block but a table's last holds 64 tokens, and ``blk``
+holds each block's start in ``tok`` and then ``tok``'s length. Sections are
+written straight from the arrays that hold the integer columns and from the
+blocks, so no section is copied whole on its way to the file.
+Stores of versions 1 to 5 are refused with a message to reload them.
+``open_store`` reads ``base`` alone. It checks every CRC, that each table's
+block starts run from 0 to the length of its ``tok``, that its last block
+holds 1 to 64 tokens, that ``rows`` holds one count per even id and the
+counts sum to the length of ``p`` and ``o``, and that every id of
+``by_token``, ``p`` and ``o`` was issued and no predicate is a literal, then
+takes views of the bytes: no other block is inflated and no term parsed
+until a token is read. A block that does not inflate, or splits into other
+than its count of tokens or into an empty one, raises StoreCorrupt when it
+is read.
 ``read_delta`` reads ``delta``, checking its CRCs, the base CRC it records
 and its ids, and only the commands that query derived triples call it: a
 damaged ``delta`` fails those alone, and ``save_delta`` replaces it. The
 initial/terminal edge pair of each triple is implicit in its row, so the
 same rows serve both traversal models. Loading keeps three id
-columns while the input streams, then packs each triple into one key only as
-wide as the ids need, sorts the keys and drops exact duplicates (set
-semantics); each row is so sorted by (pred, obj), and every downstream answer
+columns while the input streams, counts each subject's triples, then packs
+each triple into one key only as wide as the ids need, sorts the keys and
+drops exact duplicates (set semantics); each row is so sorted by (pred, obj), and every downstream answer
 is deterministic. Both files are written to a temporary name, synced to disk
 and then renamed into place, and the directory is synced after each rename
 and unlink; ``base`` is never rewritten. After load the store is read-only
@@ -63,7 +66,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, and_, countOf, eq, le, lshift, ne, or_, rshift
+from operator import add, and_, countOf, eq, lshift, ne, or_, rshift
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -72,15 +75,16 @@ from .errors import StoreCorrupt, UnknownNode
 from .terms import Term, Triple, format_term, parse_term
 
 MAGIC = b"LDM3N\0"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _HEADER = struct.Struct("<6sHII")
 _ENTRY = struct.Struct("<QQII")
 _COUNT = struct.Struct("<I")
-_TERM_SECTIONS = ("even_off", "even_blk", "even_tok", "odd_off", "odd_blk", "odd_tok")
+_TERM_SECTIONS = ("even_blk", "even_tok", "odd_blk", "odd_tok")
 _BASE_SECTIONS = (*_TERM_SECTIONS, "by_token", "rows", "p", "o")
 _DELTA_SECTIONS = ("base", *_TERM_SECTIONS, "s", "p", "o")
-_BYTE_SECTIONS = {"even_tok", "odd_tok"}
-_CODES = {4: "I", 8: "Q"}
+# The itemsizes a section may have; an integer section not named takes 4 or 8.
+_ITEMSIZES = {"even_tok": (1,), "odd_tok": (1,), "rows": (1, 4, 8)}
+_CODES = {1: "B", 4: "I", 8: "Q"}
 _LITTLE = sys.byteorder == "little"
 # Byte translations: 1 for an odd byte, and 1 for a 0 byte.
 _ODD = bytes(i & 1 for i in range(256))
@@ -112,7 +116,8 @@ class Store:
     """An opened ``base``: dictionary and CSR columns.
 
     Row ``i`` holds the triples of subject ``2 * (i + 1)``: positions
-    ``rows[i]`` to ``rows[i + 1]`` of the ``p`` and ``o`` columns.
+    ``rows[i]`` to ``rows[i + 1]`` of the ``p`` and ``o`` columns, the
+    running sums of the stored row counts.
     """
 
     config: StoreConfig
@@ -203,9 +208,10 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     While the input streams, each triple is three ids appended to three
     8-byte columns. Once it ends and the token dict is freed, ``_sorted_keys``
     packs the triples as keys ``s << 2w | p << w | o``, where ``w`` is the bit
-    length of the largest id, so the keys sort as ``(s, p, o)`` does. Row ``i``
-    starts where bisection puts subject ``2 * (i + 1)`` among the keys. What
-    the load holds after its input ends only shrinks: the token dict is
+    length of the largest id, so the keys sort as ``(s, p, o)`` does. Row
+    ``i``'s count is tallied from the subject column, a plain loop that costs
+    a fraction of a bisection per row, less the duplicates the sort drops.
+    What the load holds after its input ends only shrinks: the token dict is
     freed before ``by_token`` is sorted from the token lists; the lists are
     freed as their blocks are made, before any key is; the columns are freed
     once the keys are sorted; and each section goes straight into an array.
@@ -224,7 +230,6 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     for role, column in zip(("subject", "predicate"), columns):
         if (i := _odd(column).find(1)) >= 0:
             raise ValueError(f"triple {i + 1}: a literal cannot be a {role}: {dictionary.token(column[i])}")
-    total = len(columns[0])
     evens, odds = dictionary.id_ranges()
     top = max(evens.stop, odds.stop) - 2  # the largest id
     width = top.bit_length()
@@ -237,10 +242,17 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     by_token = _int_section(chain.from_iterable(_token_order(*table) for table in ((odd, 1), (even, 2))), top)
     # The token strings are freed before the keys are made.
     tables = [*_term_sections(even), *_term_sections(odd)]
-    keys = _sorted_keys(columns, width)
-    report = LoadReport(len(keys), len(dictionary), total - len(keys), dictionary.literal_count())
-    rows = _int_section(map(bisect_left, repeat(keys), map(lshift, range(2, evens.stop + 1, 2), repeat(2 * width))),
-                        len(keys))
+    # Each subject's triple count, indexed by its id: one per triple, less
+    # the duplicates that the sort finds.
+    counts = [0] * evens.stop
+    for subject in columns[0]:
+        counts[subject] += 1
+    keys, dropped = _sorted_keys(columns, width)
+    for key in dropped:
+        counts[key >> 2 * width] -= 1
+    report = LoadReport(len(keys), len(dictionary), len(dropped), dictionary.literal_count())
+    rows = _count_section(counts[2::2])
+    del counts
     mask = (1 << width) - 1
     p = _int_section(map(and_, map(rshift, keys, repeat(width)), repeat(mask)), top)
     o = _int_section(map(and_, keys, repeat(mask)), top)
@@ -261,18 +273,20 @@ def _token_order(tokens: list[str], first: int) -> Iterator[int]:
     return map(add, map(lshift, sorted(range(len(tokens)), key=tokens.__getitem__), repeat(1)), repeat(first))
 
 
-def _sorted_keys(columns: tuple[array, array, array], width: int) -> list[int]:
+def _sorted_keys(columns: tuple[array, array, array], width: int) -> tuple[list[int], list[int]]:
     """The distinct triples of three id columns as keys ``s << 2 * width |
-    p << width | o``, ascending; every id must fit in ``width`` bits. Empties
-    the columns."""
+    p << width | o``, ascending, and the exact duplicates dropped from them;
+    every id must fit in ``width`` bits. Empties the columns."""
     s, p, o = columns
     keys = sorted(map(or_, map(lshift, s, repeat(2 * width)), map(or_, map(lshift, p, repeat(width)), o)))
     del s[:], p[:], o[:]
     # Sorted, a duplicate is equal to the key after it; a load without
     # duplicates makes no second list.
+    dropped = []
     if countOf(map(eq, keys, islice(keys, 1, None)), True):
+        dropped = list(compress(keys, map(eq, keys, islice(keys, 1, None))))
         keys = list(compress(keys, chain(map(ne, keys, islice(keys, 1, None)), (True,))))
-    return keys
+    return keys, dropped
 
 
 def create_store(config: StoreConfig, triples: Iterable[Triple]) -> Store:
@@ -321,17 +335,23 @@ def _int_section(values: Iterable[int], top: int = MAX_ID) -> array:
     return column
 
 
+def _count_section(counts: list[int]) -> array:
+    """Counts 1 byte each while every count is below 256, else as
+    ``_int_section`` writes them."""
+    return array("B", counts) if max(counts, default=0) < 256 else _int_section(counts)
+
+
 def _term_sections(tokens: list[str]) -> list[Section]:
-    """Token offsets, block starts, then the tokens' UTF-8 bytes deflated in
-    blocks of ``BLOCK`` tokens: no copy of the whole table is made. Empties
-    ``tokens`` from the end, a block at a time, as the blocks are made."""
-    offsets = _int_section(accumulate(map(len, map(str.encode, tokens)), initial=0))
+    """Block starts, then the tokens' UTF-8 bytes in blocks of ``BLOCK``
+    tokens, each block its tokens joined by newlines and deflated: no copy of
+    the whole table is made. Empties ``tokens`` from the end, a block at a
+    time, as the blocks are made."""
     blocks = []
     for i in reversed(range(0, len(tokens), BLOCK)):
-        blocks.append(zlib.compress("".join(tokens[i:]).encode("utf-8"), 1))
+        blocks.append(zlib.compress("\n".join(tokens[i:]).encode("utf-8"), 1))
         del tokens[i:]
     blocks.reverse()
-    return [offsets, _int_section(accumulate(map(len, blocks), initial=0)), blocks]
+    return [_int_section(accumulate(map(len, blocks), initial=0)), blocks]
 
 
 def _write_file(path: Path, sections: list[Section]) -> None:
@@ -405,16 +425,14 @@ class _File:
         return column
 
     def table(self, parity: str) -> TermTable:
-        offsets = self.ints(parity + "_off")
-        if len(offsets) < 1 or offsets[0] != 0:
-            raise self.fail(parity + "_off", "offsets must start at 0")
+        """The term table, its last block inflated: that block's token count
+        gives the table's length."""
         starts = self.ints(parity + "_blk")
         at, length, _ = self.sections[parity + "_tok"]
-        blocks = -(-(len(offsets) - 1) // BLOCK)
-        if len(starts) != blocks + 1 or starts[0] != 0 or starts[-1] != length:
-            raise self.fail(parity + "_blk", f"expected {blocks + 1} block starts from 0 to {length},"
+        if len(starts) < 1 or starts[0] != 0 or starts[-1] != length:
+            raise self.fail(parity + "_blk", f"expected block starts from 0 to {length},"
                                              f" the length of {parity}_tok at byte offset {at}")
-        return TermTable(offsets, starts, self.data, at, f"{self.path}: section {parity}_tok")
+        return TermTable(starts, self.data, at, f"{self.path}: section {parity}_tok")
 
     def fail(self, name: str, what: str) -> StoreCorrupt:
         return StoreCorrupt(f"{self.path}: section {name} at byte offset {self.sections[name][0]}: {what}")
@@ -456,7 +474,7 @@ def _read_file(path: Path, names: tuple[str, ...]) -> _File:
                 f"{path}: section {name} spans bytes {at} to {at + length}; expected it at byte"
                 f" offset {offset}, within the {len(data)}-byte file"
             )
-        if itemsize not in ((1,) if name in _BYTE_SECTIONS else (4, 8)) or length % itemsize:
+        if itemsize not in _ITEMSIZES.get(name, (4, 8)) or length % itemsize:
             raise StoreCorrupt(f"{path}: section {name} at byte offset {at}: bad itemsize {itemsize} for {length} bytes")
         body_crc = zlib.crc32(memoryview(data)[at : at + length])
         if body_crc != crc:
@@ -533,17 +551,18 @@ def open_store(path: Path | str) -> Store:
     if len(by_token) != len(dictionary):
         raise base.fail("by_token", f"{len(by_token)} ids, expected {len(dictionary)}")
     _check_ids(base, "by_token", by_token, dictionary)
-    rows = base.ints("rows")
+    counts = base.ints("rows")
     p, o = _columns(base, "po")
-    if len(rows) != len(tables[0]) + 1 or rows[0] != 0 or rows[-1] != len(p):
-        raise base.fail("rows", f"expected {len(tables[0]) + 1} row starts from 0 to {len(p)}")
-    if not all(map(le, rows, rows[1:])):
-        # A row would otherwise hold other subjects' triples, or end past
-        # the columns.
-        at, _, itemsize = base.sections["rows"]
-        i = next(i for i in range(1, len(rows)) if rows[i] < rows[i - 1])
-        raise StoreCorrupt(f"{base.path}: section rows: row start {rows[i]} follows {rows[i - 1]},"
-                           f" at byte offset {at + i * itemsize}")
+    if len(counts) != len(tables[0]):
+        raise base.fail("rows", f"{len(counts)} row counts, expected {len(tables[0])}, one per even id")
+    # A count cannot move a start back, so counts that sum to the columns'
+    # length never give a row another subject's triples nor one past them.
+    try:
+        rows = array("I" if len(p) >> 32 == 0 else "Q", accumulate(counts, initial=0))
+    except OverflowError:  # a start past the columns' length
+        rows = None
+    if rows is None or rows[-1] != len(p):
+        raise base.fail("rows", f"row counts sum to {sum(counts)}, expected {len(p)}, the length of p and o")
     # Base triples come from parsed statements, whose predicate is never a
     # literal (nor is the subject, which only even ids' rows imply); derived
     # ones may have a literal anywhere (RANGE over a literal-valued property

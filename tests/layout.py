@@ -3,11 +3,12 @@
 A file is a 16-byte header (magic, u16 version, u32 CRC-32 of the section
 table, u32 section count), then one 24-byte entry per section (u64 offset,
 u64 length, u32 itemsize, u32 CRC-32), then the sections back to back. A term
-table is three sections: ``*_off``, the offsets of its tokens in its text;
-``*_blk``, where each zlib block of 64 tokens starts in ``*_tok``, then
-``*_tok``'s length; and ``*_tok``, the blocks. Tests use this to look inside
-a store, to forge files whose CRCs all hold, and to render a file as format
-4 laid it out, with each table's text whole, which no zlib build changes.
+table is two sections: ``*_blk``, where each zlib block of 64 tokens starts
+in ``*_tok``, then ``*_tok``'s length; and ``*_tok``, the blocks, each its
+tokens joined by newlines. ``rows`` holds each even id's triple count. Tests
+use this to look inside a store, to forge files whose CRCs all hold, and to
+render a file as format 4 laid it out, with each table's text whole beside
+its token offsets and ``rows`` as row starts, which no zlib build changes.
 """
 
 import struct
@@ -16,9 +17,9 @@ from itertools import accumulate
 
 HEADER = struct.Struct("<6sHII")
 ENTRY = struct.Struct("<QQII")
-VERSION = 5
+VERSION = 6
 BLOCK = 64
-TABLES = ("even_off", "even_blk", "even_tok", "odd_off", "odd_blk", "odd_tok")
+TABLES = ("even_blk", "even_tok", "odd_blk", "odd_tok")
 NAMES = {
     "base": (*TABLES, "by_token", "rows", "p", "o"),
     "delta": ("base", *TABLES, "s", "p", "o"),
@@ -38,12 +39,15 @@ def sections(path, data: bytes | None = None) -> dict[str, tuple[int, bytes, int
     return out
 
 
+CODES = {1: "B", 4: "I", 8: "Q"}
+
+
 def ints(body: bytes, itemsize: int) -> list[int]:
-    return list(struct.unpack(f"<{len(body) // itemsize}{'IQ'[itemsize // 8]}", body))
+    return list(struct.unpack(f"<{len(body) // itemsize}{CODES[itemsize]}", body))
 
 
 def pack(values: list[int], itemsize: int = 4) -> bytes:
-    return struct.pack(f"<{len(values)}{'IQ'[itemsize // 8]}", *values)
+    return struct.pack(f"<{len(values)}{CODES[itemsize]}", *values)
 
 
 def assemble(bodies: dict[str, tuple[bytes, int]], version: int = VERSION) -> bytes:
@@ -82,34 +86,58 @@ def rewrite_blocks(path, parity: str, new: list[bytes]) -> None:
     rewrite(path, **{parity + "_blk": (pack(starts), 4), parity + "_tok": (b"".join(new), 1)})
 
 
-def text(path, parity: str) -> bytes:
-    """A term table's tokens back to back: its blocks, inflated."""
-    return b"".join(map(zlib.decompress, blocks(path, parity)))
+def tokens(path, parity: str) -> list[list[bytes]]:
+    """The tokens of each block of a term table: its blocks, inflated and
+    split at newlines."""
+    return [zlib.decompress(block).split(b"\n") for block in blocks(path, parity)]
 
 
 def check_blocks(path) -> None:
-    """Each block of each term table inflates to the text of its 64 tokens."""
-    found = sections(path)
+    """Every block of each term table but the last holds 64 non-empty
+    tokens, and the last holds 1 to 64."""
     for parity in ("even", "odd"):
-        offsets = ints(*found[parity + "_off"][1:])
-        whole = text(path, parity)
-        n = len(offsets) - 1
-        stored = blocks(path, parity)
-        assert len(stored) == -(-n // BLOCK)
-        for b, block in enumerate(stored):
-            lo, hi = offsets[b * BLOCK], offsets[min(b * BLOCK + BLOCK, n)]
-            assert zlib.decompress(block) == whole[lo:hi]
+        split = tokens(path, parity)
+        for b, block in enumerate(split):
+            assert all(block) and (len(block) <= BLOCK if b == len(split) - 1 else len(block) == BLOCK)
+
+
+def starts(sizes) -> tuple[bytes, int]:
+    """Running sums of ``sizes`` from 0, as format 4 wrote offsets and row
+    starts: 4 bytes each unless a sum needs 8."""
+    values = list(accumulate(sizes, initial=0))
+    itemsize = 8 if values[-1] >> 32 else 4
+    return pack(values, itemsize), itemsize
+
+
+def old_bodies(path, blocked: bool = False) -> dict[str, tuple[bytes, int]]:
+    """The sections as format 4 laid them out: each term table's text whole
+    beside the offsets of its tokens, and ``rows`` as row starts. With
+    ``blocked``, as format 5 did: each table's text in zlib blocks of 64
+    tokens back to back, with ``*_blk`` between its offsets and blocks."""
+    bodies = {}
+    for name, (_, body, itemsize) in sections(path).items():
+        if name.endswith("_blk"):
+            parity = name[:-4]
+            whole = [token for block in tokens(path, parity) for token in block]
+            bodies[parity + "_off"] = starts(map(len, whole))
+            if blocked:
+                blocks = [zlib.compress(b"".join(whole[i : i + BLOCK]), 1) for i in range(0, len(whole), BLOCK)]
+                bodies[name] = starts(map(len, blocks))
+                bodies[parity + "_tok"] = (b"".join(blocks), 1)
+            else:
+                bodies[parity + "_tok"] = (b"".join(whole), 1)
+        elif name == "rows":
+            bodies[name] = starts(ints(body, itemsize))
+        elif not name.endswith("_tok"):
+            bodies[name] = (body, itemsize)
+    return bodies
 
 
 def as_v4(path) -> bytes:
-    """The file as format 4 wrote it: no block starts, each term table's text
-    whole, and, in a ``delta``, the CRC of ``base``'s section table as format
-    4 wrote ``base``. Format 4 kept the same data, so it gives the same
-    bytes."""
-    bodies = {name: (body, itemsize) for name, (_, body, itemsize) in sections(path).items()
-              if not name.endswith("_blk")}
-    for parity in ("even", "odd"):
-        bodies[parity + "_tok"] = (text(path, parity), 1)
+    """The file as format 4 wrote it (see ``old_bodies``), and, in a
+    ``delta``, with the CRC of ``base``'s section table as format 4 wrote
+    ``base``. Format 4 kept the same data, so it gives the same bytes."""
+    bodies = old_bodies(path)
     if path.name == "delta":
         base = path.parent / "base"
         assert ints(*bodies["base"]) == [HEADER.unpack_from(base.read_bytes())[2]]

@@ -16,15 +16,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import layout
-from ldm3n import Literal, StoreConfig, Triple, cli, create_store, format_term, open_store, parse_term, storage
+from ldm3n import (Literal, Model, StoreConfig, Triple, cli, create_store, format_term, forward_transform, open_store,
+                   parse_term, storage)
 from ldm3n.cli import main
 from ldm3n.dictionary import MAX_ID, Dictionary
 from ldm3n.errors import StoreCorrupt
 from ldm3n.ntriples import parse_ntriples
 from ldm3n.storage import load_triples, read_delta, save_delta
+from ldm3n.traversal import shortest_path
 
 from conftest import EX, ex
-from oracles import random_triples
+from oracles import labeled_arc_distances, random_triples, triple_node_distances
 
 
 def ids_for(store, *names):
@@ -58,9 +60,10 @@ def test_base_bytes_are_pinned(tmp_path):
     assert (report.triples, report.distinct_terms, report.duplicates, report.literals) == (7, 9, 2, 2)
     base = tmp_path / "base"
     _, rows, itemsize = layout.sections(base)["rows"]
-    assert layout.ints(rows, itemsize) == [0, 1, 2, 3, 6, 6, 7, 7]
+    assert (layout.ints(rows, itemsize), itemsize) == ([1, 1, 1, 3, 0, 1, 0], 1)
     # Deflate's bytes may differ between zlib builds, so the digest is of the
-    # file with its tables inflated, which is format 4's file.
+    # file with its tables inflated, its token offsets and row starts summed
+    # back, which is format 4's file.
     layout.check_blocks(base)
     assert hashlib.sha256(layout.as_v4(base)).hexdigest() == (
         "eeefd52b8641c6615ae186407f6f39efab3cde53b6207457a74670d464e3bca1"
@@ -231,9 +234,10 @@ def test_sorted_keys_match_a_set_of_triples(triples, data):
     top = max(map(max, triples), default=0)
     width = top.bit_length()
     columns = tuple(array("Q", column) for column in zip(*triples)) or (array("Q"), array("Q"), array("Q"))
-    keys = storage._sorted_keys(columns, width)
+    keys, dropped = storage._sorted_keys(columns, width)
     mask = (1 << width) - 1
     assert [(k >> 2 * width, k >> width & mask, k & mask) for k in keys] == sorted(set(triples))
+    assert sorted(keys + dropped) == sorted(s << 2 * width | p << width | o for s, p, o in triples)
     assert columns == (array("Q"), array("Q"), array("Q"))
     # Bounded by the largest id, a column takes the itemsize it takes unbounded.
     for column in zip(*triples):
@@ -307,7 +311,7 @@ def test_store_files_exist_with_magic(tmp_path, succession_triples):
     assert sorted(p.name for p in path.iterdir()) == ["base"]
     data = (path / "base").read_bytes()
     magic, version, table_crc, count = layout.HEADER.unpack_from(data)
-    assert (magic, version, count) == (b"LDM3N\0", 5, 10)
+    assert (magic, version, count) == (b"LDM3N\0", 6, 8)
     assert table_crc == zlib.crc32(data[12 : 16 + 24 * count])
     offset = 16 + 24 * count
     for i in range(count):
@@ -441,8 +445,8 @@ def test_columns_take_eight_bytes_only_when_a_value_needs_them(tmp_path, success
     store = create_store(StoreConfig(path), succession_triples)
     triples = list(store.iter_triples())
     base = path / "base"
-    wide = {name: (layout.pack(layout.ints(body, 4), 8), 8)
-            for name, (_, body, itemsize) in layout.sections(base).items() if itemsize == 4}
+    wide = {name: (layout.pack(layout.ints(body, itemsize), 8), 8)
+            for name, (_, body, itemsize) in layout.sections(base).items() if not name.endswith("_tok")}
     layout.rewrite(base, **wide)
     reopened = open_store(path)
     assert list(reopened.iter_triples()) == triples
@@ -455,6 +459,9 @@ def test_section_writer_bytes(tmp_path):
     # checked above).
     assert bytes(storage._int_section([1, 2**32 - 1])) == struct.pack("<2I", 1, 2**32 - 1)
     assert bytes(storage._int_section(iter([1, 2**32]))) == struct.pack("<2Q", 1, 2**32)
+    # Row counts take one byte each while every count is below 256.
+    assert [storage._count_section(v).itemsize for v in ([], [255], [256], [2**32])] == [1, 1, 4, 8]
+    assert bytes(storage._count_section([3, 0, 255])) == bytes([3, 0, 255])
     # A term table of three blocks is written block by block, with the block
     # starts and the CRC of the whole section; the token list is emptied as
     # its blocks are made.
@@ -462,20 +469,20 @@ def test_section_writer_bytes(tmp_path):
     table = list(tokens)
     sections = storage._term_sections(table)
     assert table == []
-    assert len(sections[2]) == 3
+    assert len(sections[1]) == 3
     path = tmp_path / "table"
     storage._write_file(path, sections)
-    f = storage._read_file(path, ("even_off", "even_blk", "even_tok"))  # checks every CRC
+    f = storage._read_file(path, ("even_blk", "even_tok"))  # checks every CRC
     at, length, itemsize = f.sections["even_tok"]
     body = f.data[at : at + length]
-    assert (body, itemsize) == (b"".join(sections[2]), 1)
-    assert f.ints("even_blk").tolist() == [0, *accumulate(map(len, sections[2]))] and length == len(body)
-    assert struct.unpack_from("<I", f.data, layout.HEADER.size + 2 * layout.ENTRY.size + 20) == (zlib.crc32(body),)
-    assert f.ints("even_off").tolist() == [0, *accumulate(len(t.encode("utf-8")) for t in tokens)]
-    # Each block is the text of its 64 tokens, whatever bytes zlib made of it.
+    assert (body, itemsize) == (b"".join(sections[1]), 1)
+    assert f.ints("even_blk").tolist() == [0, *accumulate(map(len, sections[1]))] and length == len(body)
+    assert struct.unpack_from("<I", f.data, layout.HEADER.size + layout.ENTRY.size + 20) == (zlib.crc32(body),)
+    # Each block is its 64 tokens joined by newlines, whatever bytes zlib
+    # made of it.
     n = storage.BLOCK
-    for b, block in enumerate(sections[2]):
-        assert zlib.decompress(block) == "".join(tokens[b * n : b * n + n]).encode("utf-8")
+    for b, block in enumerate(sections[1]):
+        assert zlib.decompress(block) == "\n".join(tokens[b * n : b * n + n]).encode("utf-8")
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
@@ -488,7 +495,7 @@ def test_term_tables_round_trip(tmp_path, n):
     ids = {t: 2 * i + 2 for i, t in enumerate(even)} | {t: 2 * i + 1 for i, t in enumerate(odd)}
     storage._write_file(tmp_path / "base", [
         *storage._term_sections(list(even)), *storage._term_sections(list(odd)),
-        storage._int_section(ids[t] for t in sorted(ids)), storage._int_section([0] * (n + 1)),
+        storage._int_section(ids[t] for t in sorted(ids)), storage._count_section([0] * n),
         storage._int_section([]), storage._int_section([]),
     ])
     layout.check_blocks(tmp_path / "base")
@@ -501,6 +508,50 @@ def test_term_tables_round_trip(tmp_path, n):
     assert len(store.dictionary) == 2 * n
     for token, term_id in ids.items():
         assert (store.token(term_id), store.resolve(parse_term(token))) == (token, term_id)
+
+
+def chain(n: int) -> list[Triple]:
+    """n triples s/0 -> s/1 -> ... -> s/n: n + 2 even tokens and no literal."""
+    return [Triple(ex(f"s/{i}"), ex("p"), ex(f"s/{i + 1}")) for i in range(n)]
+
+
+def fan(n: int, subjects: int) -> list[Triple]:
+    """n triples spreading n literals over ``subjects`` subjects."""
+    return [Triple(ex(f"s/{i % subjects}"), ex("p"), Literal(f"v{i}")) for i in range(n)]
+
+
+# name -> (triples, even tokens, odd tokens, itemsize of rows)
+EDGES = {
+    "no_literals_64_even": (chain(62), 64, 0, 1),
+    "no_literals_65_even": (chain(63), 65, 0, 1),
+    "64_odd": (fan(64, 8), 9, 64, 1),
+    "65_odd": (fan(65, 8), 9, 65, 1),
+    # s/0 holds the fan and the chain's first triple.
+    "hub_of_255": (fan(254, 1) + chain(2), 4, 254, 1),
+    "hub_of_300": (fan(299, 1) + chain(2), 4, 299, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_stores_at_the_edges_answer_as_the_oracles(tmp_path, name):
+    """Tables that end on a block boundary or one past it, an empty odd
+    table, and row counts that need one byte or, past 255, four: each store
+    holds its triples and answers both models as the BFS oracles do."""
+    triples, evens, odds, itemsize = EDGES[name]
+    store = create_store(StoreConfig(tmp_path / name), triples)
+    assert [len(ids) for ids in store.dictionary.id_ranges()] == [evens, odds]
+    assert layout.sections(tmp_path / name / "base")["rows"][2] == itemsize
+    encoded = list(store.iter_triples())
+    assert len(encoded) == len(triples) and {Triple(*map(store.decode, t)) for t in encoded} == set(triples)
+    g = forward_transform(triples, dictionary=store.dictionary)
+    ids = list(store.dictionary.ids())
+    for source in ids[1::2]:  # the even ids
+        node, arc = triple_node_distances(g, source), labeled_arc_distances(encoded, source)
+        for target in ids:
+            got = shortest_path(store, source, target, Model.LDM3N)
+            assert (got.distance if got.found else None) == node.get(target)
+            got = shortest_path(store, source, target, Model.NLAN)
+            assert (got.distance if got.found else None) == arc.get(target)
 
 
 def test_big_endian_path_round_trips(tmp_path, monkeypatch, succession_triples):
@@ -529,16 +580,30 @@ def test_version_two_store_is_rejected(tmp_path, capsys):
     assert "unsupported format version 2" in capsys.readouterr().err
 
 
+def assert_refused(path, version: int, capsys) -> None:
+    message = f"unsupported format version {version} (this build reads version 6; reload the store from N-Triples)"
+    with pytest.raises(StoreCorrupt, match=re.escape(message)):
+        open_store(path)
+    assert main(["stats", "--store", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {path / 'base'}: {message}\n"
+
+
 def test_version_four_store_is_rejected(tmp_path, succession_triples, capsys):
     path = tmp_path / "v4"
     create_store(StoreConfig(path), succession_triples)
     base = path / "base"
     base.write_bytes(layout.as_v4(base))
-    message = "unsupported format version 4 (this build reads version 5; reload the store from N-Triples)"
-    with pytest.raises(StoreCorrupt, match=re.escape(message)):
-        open_store(path)
-    assert main(["stats", "--store", str(path)]) == 3
-    assert capsys.readouterr().err == f"error: {base}: {message}\n"
+    assert_refused(path, 4, capsys)
+
+
+def test_version_five_store_is_rejected(tmp_path, succession_triples, capsys):
+    """Format 5 stored each table's token offsets beside its blocks, which
+    held the tokens back to back, and ``rows`` as row starts."""
+    path = tmp_path / "v5"
+    create_store(StoreConfig(path), succession_triples)
+    base = path / "base"
+    base.write_bytes(layout.assemble(layout.old_bodies(base, blocked=True), 5))
+    assert_refused(path, 5, capsys)
 
 
 def test_malformed_token_fails_on_decode(tmp_path, succession_triples, capsys):
