@@ -13,9 +13,11 @@ after the tables (while loading, or minted by entailment) are held in memory.
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from heapq import merge
-from typing import Callable, Iterator, Sequence
+from itertools import islice
+from operator import lt
+from typing import Iterator, Sequence
 
 from .errors import CapacityExhausted, StoreCorrupt, UnknownId
 from .terms import Literal, Term, format_term, parse_term
@@ -39,29 +41,43 @@ def id_index(term_id: int) -> int:
 
 
 class TermTable:
-    """Tokens of one parity, in id order, in zlib blocks of ``BLOCK`` tokens.
+    """Tokens of one parity, in id order, in blocks of ``BLOCK`` tokens.
 
-    Block b holds tokens ``BLOCK * b`` up to ``BLOCK * (b + 1)``, joined by
-    ``\\n`` (a canonical token never holds a raw newline) and deflated on
-    its own, at ``data[at + starts[b] : at + starts[b + 1]]``. No count is
-    stored: every block but the last holds ``BLOCK`` tokens, and the last,
-    which the table inflates when it is made, holds the rest. A block is
-    inflated and split the first time one of its tokens is read, checked,
-    and kept as its list of tokens; a block that does not inflate, or splits
-    into the wrong number of tokens or into an empty one, raises
+    Block b holds tokens ``BLOCK * b`` up to ``BLOCK * (b + 1)`` at
+    ``data[at + starts[b] : at + starts[b + 1]]``: its first token, the
+    block's head, in the clear, then a newline, then the block's other tokens
+    joined by ``\\n`` (a canonical token never holds a raw newline) and
+    deflated on their own; a block of one token is its head and the newline.
+    No count is stored: every block but the last holds ``BLOCK`` tokens, and
+    the last, which the table decodes when it is made, holds the rest. The
+    heads are read when the table is made, so ``find`` bisects them without
+    inflating anything and then decodes one block. A block is decoded the
+    first time one of its tokens is read, checked, and kept as its list of
+    tokens. An ``ordered`` table (``base``'s, in token order) also checks that
+    its heads ascend strictly when it is made, and that each block's tokens
+    ascend strictly and end below the next block's head when it is decoded,
+    so ``find`` bisects only heads and a block whose order it has checked.
+    A block without a head, or that does not inflate, splits into the wrong
+    number of tokens or into an empty one, or is out of order, raises
     StoreCorrupt naming ``where`` (the file and section), the block's byte
     offset and what was expected.
     """
 
-    def __init__(self, starts: Sequence[int] = (0,), data: bytes = b"", at: int = 0, where: str = ""):
+    def __init__(self, starts: Sequence[int] = (0,), data: bytes = b"", at: int = 0, where: str = "",
+                 ordered: bool = False):
         self.starts = starts
         self.data = data
         self.at = at
         self.where = where
-        self._blocks: list[list[bytes] | None] = [None] * (len(starts) - 1)
-        self._len = 0
-        if self._blocks:
-            self._len = BLOCK * (len(self._blocks) - 1) + len(self._inflate(len(self._blocks) - 1))
+        self.ordered = ordered
+        n = len(starts) - 1
+        self.heads = [self._head(b) for b in range(n)]
+        if ordered and not all(map(lt, self.heads, islice(self.heads, 1, None))):
+            b = next(b for b in range(1, n) if self.heads[b] <= self.heads[b - 1])
+            raise self._corrupt(b, f"its head does not sort above block {b - 1}'s head;"
+                                   " expected the heads in strictly ascending byte order")
+        self._blocks: list[list[bytes] | None] = [None] * n
+        self._len = BLOCK * (n - 1) + len(self._decode(n - 1)) if n else 0
 
     def __len__(self) -> int:
         return self._len
@@ -69,39 +85,59 @@ class TermTable:
     def raw(self, i: int) -> bytes:
         block = self._blocks[i >> _BLOCK_BITS]
         if block is None:
-            block = self._inflate(i >> _BLOCK_BITS)
+            block = self._decode(i >> _BLOCK_BITS)
         return block[i & (BLOCK - 1)]
 
-    def _inflate(self, b: int) -> list[bytes]:
-        last = b == len(self._blocks) - 1
+    def find(self, token: bytes) -> int | None:
+        """The position of ``token`` in an ordered table, or None; decodes at
+        most one block."""
+        b = bisect_right(self.heads, token) - 1
+        if b < 0:
+            return None
+        block = self._blocks[b]
+        if block is None:
+            block = self._decode(b)
+        i = bisect_left(block, token)
+        return (b << _BLOCK_BITS) + i if i < len(block) and block[i] == token else None
+
+    def _corrupt(self, b: int, what: str) -> StoreCorrupt:
+        return StoreCorrupt(f"{self.where}: block {b} at byte offset {self.at + self.starts[b]} {what}")
+
+    def _head(self, b: int) -> bytes:
         start = self.at + self.starts[b]
+        end = self.data.find(b"\n", start, self.at + self.starts[b + 1])
+        if end <= start:
+            raise self._corrupt(b, "has no head; expected a non-empty token, then a newline")
+        return self.data[start:end]
+
+    def _decode(self, b: int) -> list[bytes]:
+        last = b == len(self._blocks) - 1
+        head = self.heads[b]
+        rest = memoryview(self.data)[self.at + self.starts[b] + len(head) + 1 : self.at + self.starts[b + 1]]
         try:
-            block = zlib.decompress(memoryview(self.data)[start : self.at + self.starts[b + 1]]).split(b"\n")
+            block = [head, *zlib.decompress(rest).split(b"\n")] if rest else [head]
         except zlib.error as exc:
             found = f"does not inflate ({exc})"
         else:
             if (len(block) <= BLOCK if last else len(block) == BLOCK) and all(block):
+                if self.ordered:
+                    self._check_order(b, block)
                 self._blocks[b] = block
                 return block
             found = f"splits into {len(block)} tokens"
             if not all(block):
                 found += f", of which token {BLOCK * b + block.index(b'')} is empty"
         expected = f"1 to {BLOCK}" if last else BLOCK
-        raise StoreCorrupt(f"{self.where}: block {b} at byte offset {start} {found};"
-                           f" expected {expected} non-empty tokens from token {BLOCK * b}")
+        raise self._corrupt(b, f"{found}; expected {expected} non-empty tokens from token {BLOCK * b}")
 
-
-def _token_key(tables: tuple[TermTable, TermTable]) -> Callable[[int], bytes]:
-    """The token bytes of a table id, read through the tables' block caches:
-    the key that lookups bisect ``by_token`` with."""
-    even, odd = (t.raw for t in tables)
-
-    def key(term_id: int) -> bytes:
-        if term_id & 1:
-            return odd(term_id >> 1)
-        return even((term_id >> 1) - 1)
-
-    return key
+    def _check_order(self, b: int, block: list[bytes]) -> None:
+        if not all(map(lt, block, islice(block, 1, None))):
+            i = next(i for i in range(1, len(block)) if block[i] <= block[i - 1])
+            raise self._corrupt(b, f"token {BLOCK * b + i} does not sort above token {BLOCK * b + i - 1};"
+                                   " expected the tokens in strictly ascending byte order")
+        if b + 1 < len(self.heads) and block[-1] >= self.heads[b + 1]:
+            raise self._corrupt(b, f"token {BLOCK * b + len(block) - 1}, its last, does not sort below"
+                                   f" block {b + 1}'s head; expected the tokens in strictly ascending byte order")
 
 
 class Dictionary:
@@ -109,16 +145,14 @@ class Dictionary:
 
     Encoding is idempotent and deterministic: feeding the same term sequence
     to a fresh dictionary always yields the same assignment. Terms of the
-    tables are found by bisecting ``by_token``, the ids sorted by token
-    bytes. Mutable only while loading or entailing; otherwise it is shared
-    read-only by query workers.
+    tables, which ``load`` writes in token order, are found in the table of
+    their parity with ``TermTable.find``. Mutable only while loading or
+    entailing; otherwise it is shared read-only by query workers.
     """
 
-    def __init__(self, tables: tuple[TermTable, TermTable] | None = None, by_token: Sequence[int] = ()):
+    def __init__(self, tables: tuple[TermTable, TermTable] | None = None):
         self._tables = tables or (TermTable(), TermTable())
         self._sizes = (len(self._tables[0]), len(self._tables[1]))
-        self._by_token = by_token
-        self._key = _token_key(self._tables)
         self._added: dict[str, int] = {}
         self._added_tokens: tuple[list[str], list[str]] = ([], [])
         self._next_even = 2 * self._sizes[0] + 2
@@ -173,13 +207,13 @@ class Dictionary:
         return self._find(format_term(term))
 
     def _find(self, token: str) -> int | None:
+        """The id of a token issued in memory or held in the tables: only
+        literals start with ``"``, so the first character picks the table."""
         found = self._added.get(token)
-        if found is None and self._by_token:
-            key = token.encode("utf-8")
-            by_token = self._by_token
-            i = bisect_left(by_token, key, key=self._key)
-            if i < len(by_token) and self._key(by_token[i]) == key:
-                found = by_token[i]
+        if found is None:
+            odd = token.startswith('"')
+            if self._sizes[odd] and (i := self._tables[odd].find(token.encode("utf-8"))) is not None:
+                found = 2 * i + 2 - odd
         return found
 
     def in_table(self, term_id: int) -> bool:

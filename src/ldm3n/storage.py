@@ -8,9 +8,9 @@ offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
 
     base    even_blk, even_tok      term table of the even ids 2, 4, 6, ...,
             odd_blk, odd_tok        and likewise odd_* for the odd ids 1, 3,
-                                    5, ...: tok holds zlib blocks of 64
-                                    tokens, block b is tok[blk[b]:blk[b + 1]]
-            by_token                every id, sorted by token bytes
+                                    5, ...: tok holds blocks of 64 tokens,
+                                    block b is tok[blk[b]:blk[b + 1]]; ids
+                                    follow token order
             rows                    each even id's triple count, indexed by
                                     id // 2 - 1
             p, o                    the distinct triples, sorted by (s, p, o);
@@ -24,32 +24,40 @@ Integer sections are little-endian with itemsize 4, or 8 when a value needs
 it; ``rows`` takes itemsize 1 when every count is below 256. A base triple's
 subject is not stored: ``rows`` implies it. Nor is the load report, which
 ``load_triples`` returns and ``load`` prints; the counts are the sections'
-sizes. Each block of a term table is the UTF-8 text of 64 consecutive tokens
-joined by newlines, which no canonical token holds raw, deflated on its own
-(``zlib.compress`` at level 1), so a token costs one inflate and split of
-its block, which the table then keeps as a list, and one index. No token
-count is stored: every block but a table's last holds 64 tokens, and ``blk``
-holds each block's start in ``tok`` and then ``tok``'s length. Sections are
-written straight from the arrays that hold the integer columns and from the
-blocks, so no section is copied whole on its way to the file.
-Stores of versions 1 to 5 are refused with a message to reload them.
+sizes. Each block of a term table is the UTF-8 text of 64 consecutive
+tokens: the first, the block's head, in the clear, then a newline, then the
+others joined by newlines, which no canonical token holds raw, and deflated
+on their own (``zlib.compress`` at level 1). ``load`` issues ids in token
+order, so ``base``'s tables ascend in UTF-8 byte order and a lookup bisects
+the heads, decodes one block and bisects it; a block is decoded once and
+kept as a list. No token count is stored: every block but a table's last
+holds 64 tokens, and ``blk`` holds each block's start in ``tok`` and then
+``tok``'s length. Sections are written straight from the arrays that hold
+the integer columns and from the blocks, so no section is copied whole on
+its way to the file.
+Stores of versions 1 to 6 are refused with a message to reload them.
 ``open_store`` reads ``base`` alone. It checks every CRC, that each table's
-block starts run from 0 to the length of its ``tok``, that its last block
-holds 1 to 64 tokens, that ``rows`` holds one count per even id and the
-counts sum to the length of ``p`` and ``o``, and that every id of
-``by_token``, ``p`` and ``o`` was issued and no predicate is a literal, then
-takes views of the bytes: no other block is inflated and no term parsed
-until a token is read. A block that does not inflate, or splits into other
-than its count of tokens or into an empty one, raises StoreCorrupt when it
-is read.
+block starts run from 0 to the length of its ``tok``, that every block has a
+head and the heads strictly ascend, that its last block holds 1 to 64
+tokens, that ``rows`` holds one count per even id and the counts sum to the
+length of ``p`` and ``o``, and that every id of ``p`` and ``o`` was issued
+and no predicate is a literal, then takes views of the bytes: no other
+block is inflated and no term parsed until a token is read. A block that
+does not inflate, splits into other than its count of tokens or into an
+empty one, or whose tokens do not strictly ascend and end below the next
+block's head, raises StoreCorrupt when it is read. So a lookup bisects only
+heads and a block whose order it has checked.
 ``read_delta`` reads ``delta``, checking its CRCs, the base CRC it records
 and its ids, and only the commands that query derived triples call it: a
-damaged ``delta`` fails those alone, and ``save_delta`` replaces it. The
+damaged ``delta`` fails those alone, and ``save_delta`` replaces it. Its
+tables hold their tokens in id order, as they were minted, and are read
+whole into memory, so their order is not checked. The
 initial/terminal edge pair of each triple is implicit in its row, so the
 same rows serve both traversal models. Loading keeps three id
-columns while the input streams, counts each subject's triples, then packs
-each triple into one key only as wide as the ids need, sorts the keys and
-drops exact duplicates (set semantics); each row is so sorted by (pred, obj), and every downstream answer
+columns while the input streams, reissues the ids in token order, counts
+each subject's triples, then packs each triple into one key only as wide as
+the ids need, sorts the keys and drops exact duplicates (set semantics);
+each row is so sorted by (pred, obj), and every downstream answer
 is deterministic. Both files are written to a temporary name, synced to disk
 and then renamed into place, and the directory is synced after each rename
 and unlink; ``base`` is never rewritten. After load the store is read-only
@@ -64,23 +72,24 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, and_, countOf, eq, lshift, ne, or_, rshift
+from operator import and_, countOf, eq, lshift, ne, or_, rshift
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dictionary import BLOCK, MAX_ID, Dictionary, TermTable
 from .errors import StoreCorrupt, UnknownNode
 from .terms import Term, Triple, format_term, parse_term
 
 MAGIC = b"LDM3N\0"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _HEADER = struct.Struct("<6sHII")
 _ENTRY = struct.Struct("<QQII")
 _COUNT = struct.Struct("<I")
 _TERM_SECTIONS = ("even_blk", "even_tok", "odd_blk", "odd_tok")
-_BASE_SECTIONS = (*_TERM_SECTIONS, "by_token", "rows", "p", "o")
+_BASE_SECTIONS = (*_TERM_SECTIONS, "rows", "p", "o")
 _DELTA_SECTIONS = ("base", *_TERM_SECTIONS, "s", "p", "o")
 # The itemsizes a section may have; an integer section not named takes 4 or 8.
 _ITEMSIZES = {"even_tok": (1,), "odd_tok": (1,), "rows": (1, 4, 8)}
@@ -91,6 +100,9 @@ _ODD = bytes(i & 1 for i in range(256))
 _NOT = bytes([1]) + bytes(255)
 # Ids per chunk of a parity scan.
 _CHUNK = 1 << 14
+# The typecode of the id columns while the input streams, until an id needs
+# 8 bytes.
+_NARROW = "I"
 
 Section = array | list[bytes]  # an integer column, or a term table's blocks
 
@@ -205,27 +217,32 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     A literal subject or predicate raises ``ValueError``, naming the triple's
     position (from 1) and the token, before the directory is touched.
 
-    While the input streams, each triple is three ids appended to three
-    8-byte columns. Once it ends and the token dict is freed, ``_sorted_keys``
-    packs the triples as keys ``s << 2w | p << w | o``, where ``w`` is the bit
-    length of the largest id, so the keys sort as ``(s, p, o)`` does. Row
-    ``i``'s count is tallied from the subject column, a plain loop that costs
-    a fraction of a bisection per row, less the duplicates the sort drops.
-    What the load holds after its input ends only shrinks: the token dict is
-    freed before ``by_token`` is sorted from the token lists; the lists are
-    freed as their blocks are made, before any key is; the columns are freed
-    once the keys are sorted; and each section goes straight into an array.
+    While the input streams, each triple is three ids, issued in order of
+    first appearance, appended to three columns of 4 bytes an id, widened to
+    8 if an id reaches 2**32. Once it ends, each parity's tokens are sorted,
+    and every id is renumbered to its token's place in that order: the term
+    tables are written in token order, which lookups bisect. ``_sorted_keys`` renumbers the ids as it packs the triples
+    as keys ``s << 2w | p << w | o``, where ``w`` is the bit length of the
+    largest id, so the keys sort as ``(s, p, o)`` does and no second set of
+    columns is made. Row ``i``'s count is tallied from the renumbered subject
+    column, a plain loop that costs a fraction of a bisection per row, less
+    the duplicates the sort drops. What the load holds after its input ends
+    only shrinks: the token lists are sorted in place and the issued ids read
+    in their order before the token dict is freed; the lists are freed as
+    their blocks are made, before any key is; the columns are freed once the
+    keys are sorted; and each section goes straight into an array.
     """
     dictionary = Dictionary()
     ids = dictionary.added_ids()
     get, issue = ids.get, dictionary.issue
-    columns = array("Q"), array("Q"), array("Q")
-    add_s, add_p, add_o = (column.append for column in columns)
-    for s, p, o in triples:
-        # Ids start at 1, so a found id is never falsy.
-        add_s(get(s) or issue(s, s[0] == '"'))
-        add_p(get(p) or issue(p, p[0] == '"'))
-        add_o(get(o) or issue(o, o[0] == '"'))
+    columns = array(_NARROW), array(_NARROW), array(_NARROW)
+    triples = iter(triples)
+    while (triple := _append_ids(triples, get, issue, columns)) is not None:
+        # An id needs 8 bytes: drop what the triple appended, widen the
+        # columns and read the triple again; its issued ids are found.
+        n = min(map(len, columns))
+        columns = tuple(array("Q", column[:n]) for column in columns)
+        triples = chain([triple], triples)
     # Before the directory is touched: such a store could not be opened.
     for role, column in zip(("subject", "predicate"), columns):
         if (i := _odd(column).find(1)) >= 0:
@@ -234,20 +251,33 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     top = max(evens.stop, odds.stop) - 2  # the largest id
     width = top.bit_length()
 
-    ids.clear()  # the token lists below still hold every token, in id order
+    # Each parity's tokens in token order, which is the UTF-8 byte order that
+    # lookups bisect in, and the ids they were issued, in that order. The
+    # lists are sorted in place and read through the token dict before it is
+    # freed, so no list of positions is made.
     even, odd = dictionary.added()
-    # Code point order is the UTF-8 byte order that lookups bisect in. Every
-    # literal starts with '"', which sorts before '<' and '_', so the odd ids
-    # come first; each parity's order is sorted only once the other's is used.
-    by_token = _int_section(chain.from_iterable(_token_order(*table) for table in ((odd, 1), (even, 2))), top)
+    code = "I" if top >> 32 == 0 else "Q"
+    issued = []
+    for tokens in (even, odd):
+        tokens.sort()
+        issued.append(array(code, map(ids.__getitem__, tokens)))
+    ids.clear()
+    # Each id read so far, renumbered so that each parity's ids follow token
+    # order.
+    new_id = array(code, [0]) * (top + 1)
+    for first, old in zip((2, 1), issued):
+        deque(map(new_id.__setitem__, old, range(first, first + 2 * len(old), 2)), maxlen=0)
+    del issued
     # The token strings are freed before the keys are made.
     tables = [*_term_sections(even), *_term_sections(odd)]
-    # Each subject's triple count, indexed by its id: one per triple, less
-    # the duplicates that the sort finds.
+    renumber = new_id.__getitem__
+    # Each subject's triple count, indexed by its new id: one per triple,
+    # less the duplicates that the sort finds.
     counts = [0] * evens.stop
-    for subject in columns[0]:
+    for subject in map(renumber, columns[0]):
         counts[subject] += 1
-    keys, dropped = _sorted_keys(columns, width)
+    keys, dropped = _sorted_keys(columns, width, renumber)
+    del new_id, renumber
     for key in dropped:
         counts[key >> 2 * width] -= 1
     report = LoadReport(len(keys), len(dictionary), len(dropped), dictionary.literal_count())
@@ -257,7 +287,7 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     p = _int_section(map(and_, map(rshift, keys, repeat(width)), repeat(mask)), top)
     o = _int_section(map(and_, keys, repeat(mask)), top)
     del keys
-    sections = [*tables, by_token, rows, p, o]
+    sections = [*tables, rows, p, o]
     config.path.mkdir(parents=True, exist_ok=True)
     # The old delta goes first: a crash between the two steps leaves the
     # old base without derivations, never a delta beside a base it was not
@@ -268,18 +298,33 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     return report
 
 
-def _token_order(tokens: list[str], first: int) -> Iterator[int]:
-    """The ids ``first, first + 2, ...`` of ``tokens``, in token order."""
-    return map(add, map(lshift, sorted(range(len(tokens)), key=tokens.__getitem__), repeat(1)), repeat(first))
+def _append_ids(triples: Iterator[tuple[str, str, str]], get: Callable[[str], int | None],
+                issue: Callable[[str, bool], int], columns: tuple[array, array, array]) -> tuple[str, str, str] | None:
+    """Append the ids of each triple to the three columns, issuing those of
+    new tokens; the triple whose id does not fit the columns' items, if one
+    does not."""
+    add_s, add_p, add_o = (column.append for column in columns)
+    try:
+        for s, p, o in triples:
+            # Ids start at 1, so a found id is never falsy.
+            add_s(get(s) or issue(s, s[0] == '"'))
+            add_p(get(p) or issue(p, p[0] == '"'))
+            add_o(get(o) or issue(o, o[0] == '"'))
+    except OverflowError:
+        return s, p, o
+    return None
 
 
-def _sorted_keys(columns: tuple[array, array, array], width: int) -> tuple[list[int], list[int]]:
-    """The distinct triples of three id columns as keys ``s << 2 * width |
-    p << width | o``, ascending, and the exact duplicates dropped from them;
-    every id must fit in ``width`` bits. Empties the columns."""
-    s, p, o = columns
+def _sorted_keys(columns: tuple[array, array, array], width: int,
+                 renumber: Callable[[int], int]) -> tuple[list[int], list[int]]:
+    """The distinct triples of three id columns, each id renumbered, as keys
+    ``s << 2 * width | p << width | o``, ascending, and the exact duplicates
+    dropped from them; every renumbered id must fit in ``width`` bits.
+    Empties the columns."""
+    s, p, o = (map(renumber, column) for column in columns)
     keys = sorted(map(or_, map(lshift, s, repeat(2 * width)), map(or_, map(lshift, p, repeat(width)), o)))
-    del s[:], p[:], o[:]
+    for column in columns:
+        del column[:]
     # Sorted, a duplicate is equal to the key after it; a load without
     # duplicates makes no second list.
     dropped = []
@@ -343,12 +388,16 @@ def _count_section(counts: list[int]) -> array:
 
 def _term_sections(tokens: list[str]) -> list[Section]:
     """Block starts, then the tokens' UTF-8 bytes in blocks of ``BLOCK``
-    tokens, each block its tokens joined by newlines and deflated: no copy of
-    the whole table is made. Empties ``tokens`` from the end, a block at a
-    time, as the blocks are made."""
+    tokens, each block its first token, a newline, and its other tokens
+    joined by newlines and deflated: no copy of the whole table is made.
+    Empties ``tokens`` from the end, a block at a time, as the blocks are
+    made."""
     blocks = []
     for i in reversed(range(0, len(tokens), BLOCK)):
-        blocks.append(zlib.compress("\n".join(tokens[i:]).encode("utf-8"), 1))
+        block = tokens[i].encode("utf-8") + b"\n"
+        if len(tokens) > i + 1:
+            block += zlib.compress("\n".join(tokens[i + 1 :]).encode("utf-8"), 1)
+        blocks.append(block)
         del tokens[i:]
     blocks.reverse()
     return [_int_section(accumulate(map(len, blocks), initial=0)), blocks]
@@ -424,15 +473,16 @@ class _File:
         column.byteswap()
         return column
 
-    def table(self, parity: str) -> TermTable:
-        """The term table, its last block inflated: that block's token count
-        gives the table's length."""
+    def table(self, parity: str, ordered: bool = False) -> TermTable:
+        """The term table, its heads read and its last block decoded: that
+        block's token count gives the table's length. An ``ordered`` table's
+        order is checked (see ``TermTable``)."""
         starts = self.ints(parity + "_blk")
         at, length, _ = self.sections[parity + "_tok"]
         if len(starts) < 1 or starts[0] != 0 or starts[-1] != length:
             raise self.fail(parity + "_blk", f"expected block starts from 0 to {length},"
                                              f" the length of {parity}_tok at byte offset {at}")
-        return TermTable(starts, self.data, at, f"{self.path}: section {parity}_tok")
+        return TermTable(starts, self.data, at, f"{self.path}: section {parity}_tok", ordered)
 
     def fail(self, name: str, what: str) -> StoreCorrupt:
         return StoreCorrupt(f"{self.path}: section {name} at byte offset {self.sections[name][0]}: {what}")
@@ -544,13 +594,9 @@ def open_store(path: Path | str) -> Store:
         # Stores before version 3 kept their load report in ``meta``.
         _read_file(path / "meta", ())
     base = _read_file(path / "base", _BASE_SECTIONS)
-    tables = (base.table("even"), base.table("odd"))
+    tables = (base.table("even", ordered=True), base.table("odd", ordered=True))
     _check_tables(base, tables)
-    by_token = base.ints("by_token")
-    dictionary = Dictionary(tables, by_token)
-    if len(by_token) != len(dictionary):
-        raise base.fail("by_token", f"{len(by_token)} ids, expected {len(dictionary)}")
-    _check_ids(base, "by_token", by_token, dictionary)
+    dictionary = Dictionary(tables)
     counts = base.ints("rows")
     p, o = _columns(base, "po")
     if len(counts) != len(tables[0]):

@@ -323,7 +323,7 @@ def test_entail_stdout_and_delta_bytes_are_pinned(tmp_path, capsys):
         # With its tables inflated, as for the base goldens.
         layout.check_blocks(store / "delta")
         assert hashlib.sha256(layout.as_v4(store / "delta")).hexdigest() == (
-            "7bece786237b0504cebcf2e6835a17f7eac79bb56106377006c2d6d7004d1021"
+            "d6edc7279d49c1d0d46fc6392d251ccc66f5851b980a4b8d16abcfb885ec7ef3"
         )
 
 

@@ -11,7 +11,6 @@ replaces it.
 
 import re
 import shutil
-import zlib
 from pathlib import Path
 
 import pytest
@@ -204,16 +203,17 @@ def test_bad_row_counts_are_rejected(tmp_path, capsys, how):
     base = path / "base"
     at, body, itemsize = layout.sections(base)["rows"]
     counts = layout.ints(body, itemsize)
-    assert (counts[:2], sum(counts), itemsize) == ([2, 2], 6, 1)
+    # ArkansasGovernor, then BillClinton: ids follow token order.
+    assert (counts[:2], sum(counts), itemsize) == ([0, 2], 6, 1)
     if how == "wrong_sum":
-        layout.rewrite(base, rows=(layout.pack([2, 200] + counts[2:], 1), 1))
+        layout.rewrite(base, rows=(layout.pack([0, 200] + counts[2:], 1), 1))
         what = "row counts sum to 204, expected 6, the length of p and o"
     elif how == "wrong_length":
         layout.rewrite(base, rows=(layout.pack(counts + [0], 1), 1))
         what = f"{len(counts) + 1} row counts, expected {len(counts)}, one per even id"
     else:
         layout.rewrite(base, rows=(layout.pack([2**63, 2**63] + counts[2:], 8), 8))
-        what = f"row counts sum to {2**64 + 2}, expected 6, the length of p and o"
+        what = f"row counts sum to {2**64 + 4}, expected 6, the length of p and o"
     message = f"{base}: section rows at byte offset {at}: {what}"
     with pytest.raises(StoreCorrupt) as exc:
         open_store(path)
@@ -228,9 +228,10 @@ def forge_block(path, how: str) -> str:
     CRC recomputed; what the reader will find there."""
     blocks = layout.blocks(path, "even")
     assert len(blocks) == 2
-    tokens = zlib.decompress(blocks[0]).split(b"\n")
+    tokens = layout.split(blocks[0])
     if how == "zlib_error":
-        blocks[0] = bytes(len(blocks[0]))
+        # The head stays; what follows it is zeros.
+        blocks[0] = tokens[0] + b"\n" + bytes(len(blocks[0]) - len(tokens[0]) - 1)
         found = re.escape("does not inflate (Error -3 while decompressing data: ") + ".+" + re.escape(")")
     else:
         if how == "63_tokens":
@@ -239,7 +240,7 @@ def forge_block(path, how: str) -> str:
             tokens[5:6] = [tokens[5][:9], tokens[5][9:]]
         else:
             tokens[5] = b""
-        blocks[0] = zlib.compress(b"\n".join(tokens))
+        blocks[0] = layout.block(tokens)
         found = re.escape(f"splits into {len(tokens)} tokens" + (", of which token 5 is empty" * (how == "empty_token")))
     layout.rewrite_blocks(path, "even", blocks)
     at = layout.sections(path)["even_tok"][0]
@@ -250,6 +251,14 @@ def forge_block(path, how: str) -> str:
 DAMAGED_BLOCKS = ["zlib_error", "63_tokens", "65_tokens", "empty_token"]
 
 
+def two_blocks(tmp_path) -> Path:
+    """A store of 81 even tokens in two blocks: o/0 ... o/9, p, s/0, s/1,
+    s/10, ... in token order, so the first block holds o/0 and s/0."""
+    path = tmp_path / "blocks"
+    create_store(StoreConfig(path), [Triple(ex(f"s/{i}"), ex("p"), ex(f"o/{i}")) for i in range(40)])
+    return path
+
+
 @pytest.mark.parametrize("how", DAMAGED_BLOCKS)
 def test_damaged_block_fails_where_it_is_read(tmp_path, capsys, how):
     """A CRC-valid ``base`` whose first block of even tokens does not
@@ -257,14 +266,12 @@ def test_damaged_block_fails_where_it_is_read(tmp_path, capsys, how):
     opens, since only the last block of each table is read at open; reading
     a token of that block fails with exit code 3, naming the file, the
     section, the block's byte offset and the expected count."""
-    path = tmp_path / "blocks"
-    # 81 even tokens: two blocks, the first of which holds s/0.
-    create_store(StoreConfig(path), [Triple(ex(f"s/{i}"), ex("p"), ex(f"o/{i}")) for i in range(40)])
+    path = two_blocks(tmp_path)
     message = forge_block(path / "base", how)
     store = open_store(path)
-    assert store.token(162) == f"<{EX}o/39>"  # the last even token, in the second block
+    assert store.token(162) == f"<{EX}s/9>"  # the last even token, in the second block
     with pytest.raises(StoreCorrupt) as exc:
-        store.decode(2)  # s/0, the first even token
+        store.decode(2)  # o/0, the first even token
     assert re.fullmatch(message, str(exc.value))
     with pytest.raises(StoreCorrupt) as exc:
         open_store(path).resolve(ex("s/0"))
@@ -293,3 +300,60 @@ def test_damaged_delta_block_fails_commands_with_derived(tmp_path, capsys, how):
     assert run_cli(capsys, path, spath)[0] == 0
     code, captured = run_cli(capsys, path, ["stats", "--with-derived"])
     assert code == 3 and re.fullmatch(f"error: {message}\n", captured.err)
+
+
+def forge_order(path, how: str) -> str:
+    """Rewrite ``base`` with the even table's tokens out of order, every CRC
+    recomputed; the message that names the block out of order."""
+    blocks = [layout.split(block) for block in layout.blocks(path, "even")]
+    if how == "swapped_heads":
+        blocks[0][0], blocks[1][0] = blocks[1][0], blocks[0][0]
+        b, what = 1, "its head does not sort above block 0's head; expected the heads in strictly ascending byte order"
+    elif how == "swapped_tokens":
+        blocks[0][5], blocks[0][6] = blocks[0][6], blocks[0][5]
+        b, what = 0, "token 6 does not sort above token 5; expected the tokens in strictly ascending byte order"
+    else:
+        # Block 0's last token and block 1's head change places: both heads
+        # still ascend, and so does each block, but block 0 ends above the
+        # head that follows it.
+        blocks[0][-1], blocks[1][0] = blocks[1][0], blocks[0][-1]
+        b, what = 0, ("token 63, its last, does not sort below block 1's head;"
+                      " expected the tokens in strictly ascending byte order")
+    layout.rewrite_blocks(path, "even", [layout.block(tokens) for tokens in blocks])
+    found = layout.sections(path)
+    at = found["even_tok"][0] + layout.ints(*found["even_blk"][1:])[b]
+    return f"{path}: section even_tok: block {b} at byte offset {at} {what}"
+
+
+@pytest.mark.parametrize("how", ["swapped_heads", "swapped_tokens", "last_token_above_next_head"])
+def test_tokens_out_of_order_fail_where_they_are_read(tmp_path, capsys, how):
+    """Lookups bisect the heads and then one block, so their answers rest on
+    ``base``'s tables being in token order. A CRC-valid table whose heads
+    do not ascend fails at open; one whose block is out of order inside, or
+    ends at or above the next block's head, opens and fails where that block
+    is first read. Either way with exit code 3, naming the file, the
+    section, the block's byte offset and the order expected."""
+    path = two_blocks(tmp_path)
+    message = forge_order(path / "base", how)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"{EX}s/0,{EX}o/0\n", encoding="utf-8")
+    # Each resolves s/0 and o/0, which the first block holds.
+    commands = [
+        ["spath", "--model", "ldm3n", "--source", f"<{EX}s/0>", "--target", f"<{EX}o/0>"],
+        ["reach", "--model", "nlan", "--source", f"<{EX}s/0>", "--target", f"<{EX}o/0>"],
+        ["bench", "--mode", "spath", "--model", "ldm3n", "--pairs", str(pairs)],
+    ]
+    if how == "swapped_heads":
+        with pytest.raises(StoreCorrupt) as exc:
+            open_store(path)
+        assert str(exc.value) == message
+        commands += [["entail"], ["validate"], ["stats"]]
+    else:
+        store = open_store(path)
+        assert store.token(162) == f"<{EX}s/9>"  # the second block
+        with pytest.raises(StoreCorrupt) as exc:
+            store.resolve(ex("s/0"))
+        assert str(exc.value) == message
+    for command in commands:
+        code, captured = run_cli(capsys, path, command)
+        assert (code, captured.err) == (3, f"error: {message}\n"), command

@@ -400,9 +400,9 @@ def test_resource_limit(make_store):
         # Given out of order: several triples per subject, one literal subject.
         ["cpb", "aqc", "vpa", "apa", "cpa", "bqv"],
         [],
-        # Subjects on both sides of b, which has base triples only, and on c,
+        # Subjects on both sides of b, which has base triples only, and on q,
         # the largest issued id.
-        ["cpc", "aqb", "apc"],
+        ["cpc", "aqb", "apc", "qpa"],
     ],
     ids=["out_of_order", "empty", "straddle"],
 )
@@ -416,7 +416,8 @@ def test_store_view_modes(make_store, delta_names):
     ])
     term_id = dict(zip("abcpq", ids_for(store, "a", "b", "c", "p", "q")), v=store.resolve(Literal("v")))
     ids = list(store.dictionary.ids())
-    assert term_id["a"] < term_id["b"] < term_id["c"] == max(ids)
+    # Ids follow token order.
+    assert term_id["a"] < term_id["b"] < term_id["c"] < term_id["p"] < term_id["q"] == max(ids)
     delta = [tuple(term_id[n] for n in t) for t in delta_names]
     view = StoreView(store, delta)
     base = list(store.iter_triples())

@@ -40,8 +40,8 @@ def tokens(triples):
 
 # Canonical tokens, two triples given twice. Subject a gives its pairs out
 # of order, a literal holds escapes, a blank node is a subject, q is both a
-# predicate and a subject, and <last>, issued last, is only an object: its
-# row, the last, is empty.
+# predicate and a subject, and <last>, only an object, and p, only a
+# predicate, have empty rows.
 PINNED_TRIPLES = [
     (f"<{EX}b>", f"<{EX}q>", f"<{EX}c>"),
     (f"<{EX}a>", f"<{EX}q>", f"<{EX}c>"),
@@ -60,13 +60,14 @@ def test_base_bytes_are_pinned(tmp_path):
     assert (report.triples, report.distinct_terms, report.duplicates, report.literals) == (7, 9, 2, 2)
     base = tmp_path / "base"
     _, rows, itemsize = layout.sections(base)["rows"]
-    assert (layout.ints(rows, itemsize), itemsize) == ([1, 1, 1, 3, 0, 1, 0], 1)
+    # Ids follow token order: a, b, c, last, p, q, _:n1.
+    assert (layout.ints(rows, itemsize), itemsize) == ([3, 1, 1, 0, 0, 1, 1], 1)
     # Deflate's bytes may differ between zlib builds, so the digest is of the
-    # file with its tables inflated, its token offsets and row starts summed
-    # back, which is format 4's file.
+    # file with its tables inflated, its token offsets, by_token and row
+    # starts put back, which is format 4's file.
     layout.check_blocks(base)
     assert hashlib.sha256(layout.as_v4(base)).hexdigest() == (
-        "eeefd52b8641c6615ae186407f6f39efab3cde53b6207457a74670d464e3bca1"
+        "6a19f91e02d8cc7e53d469a6f1ebea914b22f63bbb1874d3230371fa2acda4ee"
     )
 
 
@@ -95,7 +96,7 @@ def test_parsed_base_bytes_are_pinned(tmp_path):
     assert (report.triples, report.distinct_terms, report.duplicates, report.literals) == (4, 8, 1, 4)
     layout.check_blocks(tmp_path / "base")
     assert hashlib.sha256(layout.as_v4(tmp_path / "base")).hexdigest() == (
-        "3280869bbc1438abf8a404cf12c6ea91af338a55f7c9cb6e62f3686568ee2bbf"
+        "e4217f37c09f59e0e1a1ed26dbc888202b9dca7662fc12a86c86caf99f716503"
     )
 
 
@@ -174,9 +175,11 @@ def test_durability_round_trip(tmp_path, succession_triples):
     reopened = open_store(tmp_path / "dur")
     assert reopened.triple_count() == report.triples
     assert (len(reopened.dictionary), reopened.dictionary.literal_count()) == (report.distinct_terms, report.literals)
-    # Ids are issued in order of first appearance, as a fresh dictionary
-    # fed the same terms issues them.
+    # Ids are issued in token order, as a fresh dictionary fed the same
+    # terms in that order issues them.
     dictionary = Dictionary()
+    for token in sorted({format_term(x) for t in succession_triples for x in (t.subject, t.predicate, t.object)}):
+        dictionary.encode(parse_term(token))
     encoded = sorted({tuple(dictionary.encode(x) for x in (t.subject, t.predicate, t.object))
                       for t in succession_triples})
     assert len(dictionary) == report.distinct_terms
@@ -233,11 +236,16 @@ def test_sorted_keys_match_a_set_of_triples(triples, data):
     triples = data.draw(st.permutations(triples + duplicates))
     top = max(map(max, triples), default=0)
     width = top.bit_length()
+    # Each id is renumbered as the key is packed: here, by a permutation of
+    # the ids drawn.
+    ids = sorted({x for t in triples for x in t})
+    new_id = dict(zip(ids, data.draw(st.permutations(ids))))
     columns = tuple(array("Q", column) for column in zip(*triples)) or (array("Q"), array("Q"), array("Q"))
-    keys, dropped = storage._sorted_keys(columns, width)
+    keys, dropped = storage._sorted_keys(columns, width, new_id.__getitem__)
     mask = (1 << width) - 1
-    assert [(k >> 2 * width, k >> width & mask, k & mask) for k in keys] == sorted(set(triples))
-    assert sorted(keys + dropped) == sorted(s << 2 * width | p << width | o for s, p, o in triples)
+    renumbered = [tuple(map(new_id.__getitem__, t)) for t in triples]
+    assert [(k >> 2 * width, k >> width & mask, k & mask) for k in keys] == sorted(set(renumbered))
+    assert sorted(keys + dropped) == sorted(s << 2 * width | p << width | o for s, p, o in renumbered)
     assert columns == (array("Q"), array("Q"), array("Q"))
     # Bounded by the largest id, a column takes the itemsize it takes unbounded.
     for column in zip(*triples):
@@ -271,14 +279,46 @@ literal = st.one_of(token_text.map(lambda s: format_term(Literal(s))),
                     token_text.map(lambda s: format_term(Literal(s, datatype=EX + "dt"))))
 
 
-@given(st.lists(st.tuples(st.one_of(iri, blank), iri, st.one_of(iri, blank, literal))))
-def test_by_token_is_every_id_in_token_order(triples):
+@given(st.lists(st.tuples(st.one_of(iri, blank), iri, st.one_of(iri, blank, literal)), max_size=10))
+def test_ids_are_issued_in_token_order(triples):
+    """Each table of ``base`` strictly ascends, every stored token looks up
+    to its own id, and the store answers both models as the BFS oracles do."""
     with tempfile.TemporaryDirectory() as tmp:
         load_triples(StoreConfig(tmp), triples)
-        _, body, itemsize = layout.sections(Path(tmp) / "base")["by_token"]
+        layout.check_blocks(Path(tmp) / "base")
         store = open_store(tmp)
-        ids = {store.token(i): i for i in store.dictionary.ids()}
-    assert layout.ints(body, itemsize) == [ids[t] for t in sorted(ids)]
+        evens, odds = store.dictionary.id_ranges()
+        for ids in (evens, odds):
+            stored = [store.token(i).encode("utf-8") for i in ids]
+            assert all(a < b for a, b in zip(stored, stored[1:]))
+        ids = list(store.dictionary.ids())
+        assert [store.resolve(store.decode(i)) for i in ids] == ids
+        encoded = list(store.iter_triples())
+        assert sorted(tuple(map(store.token, t)) for t in encoded) == sorted(set(triples))
+        g = forward_transform([Triple(*map(parse_term, t)) for t in triples], dictionary=store.dictionary)
+        for source in evens:
+            node, arc = triple_node_distances(g, source), labeled_arc_distances(encoded, source)
+            for target in ids:
+                got = shortest_path(store, source, target, Model.LDM3N)
+                assert (got.distance if got.found else None) == node.get(target)
+                got = shortest_path(store, source, target, Model.NLAN)
+                assert (got.distance if got.found else None) == arc.get(target)
+
+
+def test_columns_widen_when_an_id_needs_more_bytes(tmp_path, monkeypatch):
+    """The id columns take 4 bytes an id while the input streams; an id
+    that does not fit widens them to 8 and the triple is read again. Here
+    the columns start at one byte, so the 128th even id widens them in the
+    middle of a triple, and the store is the one a load without widening
+    writes."""
+    # Each object is new, so the object id is the one that does not fit,
+    # after the triple's subject and predicate are appended.
+    triples = [(f"<{EX}s/{i % 5}>", f"<{EX}p>", f"<{EX}o/{i}>") for i in range(300)] + PINNED_TRIPLES
+    load_triples(StoreConfig(tmp_path / "wide"), triples)
+    monkeypatch.setattr(storage, "_NARROW", "B")
+    report = load_triples(StoreConfig(tmp_path / "narrow"), triples)
+    assert (report.triples, report.duplicates) == (307, 2)
+    assert (tmp_path / "narrow" / "base").read_bytes() == (tmp_path / "wide" / "base").read_bytes()
 
 
 def test_load_memory_only_shrinks_after_the_input_ends(tmp_path):
@@ -311,7 +351,7 @@ def test_store_files_exist_with_magic(tmp_path, succession_triples):
     assert sorted(p.name for p in path.iterdir()) == ["base"]
     data = (path / "base").read_bytes()
     magic, version, table_crc, count = layout.HEADER.unpack_from(data)
-    assert (magic, version, count) == (b"LDM3N\0", 6, 8)
+    assert (magic, version, count) == (b"LDM3N\0", 7, 7)
     assert table_crc == zlib.crc32(data[12 : 16 + 24 * count])
     offset = 16 + 24 * count
     for i in range(count):
@@ -410,23 +450,6 @@ def test_delta_may_hold_literals_anywhere(tmp_path):
     assert list(reopened.iter_triples()) == [(a, p, v)]
 
 
-def test_by_token_with_unissued_id_is_rejected(tmp_path, succession_triples, capsys):
-    path = tmp_path / "forged"
-    create_store(StoreConfig(path), succession_triples)
-    base = path / "base"
-    at, body, itemsize = layout.sections(base)["by_token"]
-    ids = layout.ints(body, itemsize)
-    layout.rewrite(base, by_token=(layout.pack(ids[:-1] + [424242]), 4))
-    with pytest.raises(StoreCorrupt) as exc:
-        open_store(path)
-    offset = at + (len(ids) - 1) * 4
-    assert str(exc.value) == f"{base}: section by_token: id 424242 was never issued, at byte offset {offset}"
-    code = main(["spath", "--store", str(path), "--model", "nlan",
-                 "--source", f"<{EX}BillClinton>", "--target", f"<{EX}GeorgeWBush>"])
-    err = capsys.readouterr().err
-    assert code == 3 and "id 424242 was never issued" in err and "Traceback" not in err
-
-
 def test_delta_for_another_base_is_rejected(tmp_path, succession_triples):
     path = tmp_path / "s"
     store = create_store(StoreConfig(path), succession_triples)
@@ -478,25 +501,30 @@ def test_section_writer_bytes(tmp_path):
     assert (body, itemsize) == (b"".join(sections[1]), 1)
     assert f.ints("even_blk").tolist() == [0, *accumulate(map(len, sections[1]))] and length == len(body)
     assert struct.unpack_from("<I", f.data, layout.HEADER.size + layout.ENTRY.size + 20) == (zlib.crc32(body),)
-    # Each block is its 64 tokens joined by newlines, whatever bytes zlib
-    # made of it.
+    # Each block is its first token, a newline, and its other tokens joined
+    # by newlines, whatever bytes zlib made of them; a block of one token is
+    # that token and the newline.
     n = storage.BLOCK
     for b, block in enumerate(sections[1]):
-        assert zlib.decompress(block) == "\n".join(tokens[b * n : b * n + n]).encode("utf-8")
+        head, rest = block.split(b"\n", 1)
+        assert head == tokens[b * n].encode("utf-8")
+        assert zlib.decompress(rest) == "\n".join(tokens[b * n + 1 : b * n + n]).encode("utf-8")
+    a, b = f"<{EX}a>".encode(), f"<{EX}b>".encode()
+    assert storage._term_sections([a.decode(), b.decode()])[1] == [a + b"\n" + zlib.compress(b, 1)]
+    assert storage._term_sections([a.decode()])[1] == [a + b"\n"]
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
 def test_term_tables_round_trip(tmp_path, n):
-    """Tables of up to three blocks, their last one full or not, written by
-    the section writer, read back token by token in any order, and every
-    token resolves to its id."""
-    even = [f"<{EX}\u00e9/{i}/\U0001d11e>" for i in range(n)]
-    odd = [f'"\u00df {i} \u20ac"@de' for i in range(n)]
+    """Tables of up to three blocks, their last one full, of one token or
+    neither, written by the section writer in token order, read back token by
+    token in any order, and every token resolves to its id."""
+    even = sorted(f"<{EX}\u00e9/{i}/\U0001d11e>" for i in range(n))
+    odd = sorted(f'"\u00df {i} \u20ac"@de' for i in range(n))
     ids = {t: 2 * i + 2 for i, t in enumerate(even)} | {t: 2 * i + 1 for i, t in enumerate(odd)}
     storage._write_file(tmp_path / "base", [
         *storage._term_sections(list(even)), *storage._term_sections(list(odd)),
-        storage._int_section(ids[t] for t in sorted(ids)), storage._count_section([0] * n),
-        storage._int_section([]), storage._int_section([]),
+        storage._count_section([0] * n), storage._int_section([]), storage._int_section([]),
     ])
     layout.check_blocks(tmp_path / "base")
     f = storage._read_file(tmp_path / "base", storage._BASE_SECTIONS)
@@ -508,6 +536,29 @@ def test_term_tables_round_trip(tmp_path, n):
     assert len(store.dictionary) == 2 * n
     for token, term_id in ids.items():
         assert (store.token(term_id), store.resolve(parse_term(token))) == (token, term_id)
+
+
+def decoded_blocks(store) -> int:
+    """The blocks of the store's term tables that have been decoded."""
+    return sum(block is not None for table in store.dictionary._tables for block in table._blocks)
+
+
+def test_cold_resolve_decodes_at_most_one_block(tmp_path):
+    """Lookups bisect the heads, which the open reads in the clear, and
+    then decode one block: a resolve on a freshly opened store decodes at
+    most one block beyond the last block of each table, which the open
+    decodes."""
+    path = tmp_path / "cold"
+    triples = [Triple(ex(f"s/{i}"), ex("p"), Literal(f"v{i}")) for i in range(300)]
+    create_store(StoreConfig(path), triples)
+    assert [len(layout.blocks(path / "base", parity)) for parity in ("even", "odd")] == [5, 5]
+    stored = [term for t in triples for term in (t.subject, t.object)] + [ex("p")]
+    for term in stored + [ex("s/a"), Literal("v")]:
+        store = open_store(path)
+        assert decoded_blocks(store) == 2
+        found = store.dictionary.lookup(term)
+        assert decoded_blocks(store) <= 3
+        assert (found is not None and store.decode(found) == term) is (term in stored)
 
 
 def chain(n: int) -> list[Triple]:
@@ -581,7 +632,7 @@ def test_version_two_store_is_rejected(tmp_path, capsys):
 
 
 def assert_refused(path, version: int, capsys) -> None:
-    message = f"unsupported format version {version} (this build reads version 6; reload the store from N-Triples)"
+    message = f"unsupported format version {version} (this build reads version 7; reload the store from N-Triples)"
     with pytest.raises(StoreCorrupt, match=re.escape(message)):
         open_store(path)
     assert main(["stats", "--store", str(path)]) == 3
@@ -602,8 +653,18 @@ def test_version_five_store_is_rejected(tmp_path, succession_triples, capsys):
     path = tmp_path / "v5"
     create_store(StoreConfig(path), succession_triples)
     base = path / "base"
-    base.write_bytes(layout.assemble(layout.old_bodies(base, blocked=True), 5))
+    base.write_bytes(layout.assemble(layout.old_bodies(base, 5), 5))
     assert_refused(path, 5, capsys)
+
+
+def test_version_six_store_is_rejected(tmp_path, succession_triples, capsys):
+    """Format 6 stored ``by_token``, every id sorted by token bytes, and
+    deflated each block whole, its first token too."""
+    path = tmp_path / "v6"
+    create_store(StoreConfig(path), succession_triples)
+    base = path / "base"
+    base.write_bytes(layout.assemble(layout.old_bodies(base, 6), 6))
+    assert_refused(path, 6, capsys)
 
 
 def test_malformed_token_fails_on_decode(tmp_path, succession_triples, capsys):
@@ -611,10 +672,10 @@ def test_malformed_token_fails_on_decode(tmp_path, succession_triples, capsys):
     store = create_store(StoreConfig(path), succession_triples)
     h1 = store.resolve(ex("holdsPos#1"))
     base = path / "base"
-    [block] = layout.blocks(base, "even")
+    [block] = layout.tokens(base, "even")
     # Same length and the same sort position; the IRI loses its closing '>'.
     good = f"<{EX}holdsPos#1>".encode()
-    layout.rewrite_blocks(base, "even", [zlib.compress(zlib.decompress(block).replace(good, good[:-1] + b" "))])
+    layout.rewrite_blocks(base, "even", [layout.block([good[:-1] + b" " if t == good else t for t in block])])
     reopened = open_store(path)
     with pytest.raises(StoreCorrupt) as exc:
         reopened.decode(h1)
