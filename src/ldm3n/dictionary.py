@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from heapq import merge
 from itertools import islice
 from operator import lt
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapacityExhausted, StoreCorrupt, UnknownId
 from .terms import Literal, Term, format_term, parse_term
@@ -26,6 +26,23 @@ MAX_ID = 2**64 - 1
 # Tokens per zlib block of a term table.
 _BLOCK_BITS = 6
 BLOCK = 1 << _BLOCK_BITS
+
+
+def inflate(data: bytes | memoryview, fail: Callable[[str], StoreCorrupt]) -> bytes:
+    """What ``data`` inflates to, which must be one whole zlib stream and
+    nothing after it, unlike ``zlib.decompress``, which ignores what follows
+    the stream; otherwise raises ``fail(found)``, where ``found`` says what
+    is wrong."""
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(data)
+    except zlib.error as exc:
+        raise fail(f"does not inflate ({exc})") from None
+    if not inflater.eof:
+        raise fail("does not inflate (the zlib stream is cut short)")
+    if inflater.unused_data:
+        raise fail(f"holds {len(inflater.unused_data)} bytes past the end of its zlib stream")
+    return out
 
 
 def is_literal_id(term_id: int) -> bool:
@@ -57,10 +74,10 @@ class TermTable:
     its heads ascend strictly when it is made, and that each block's tokens
     ascend strictly and end below the next block's head when it is decoded,
     so ``find`` bisects only heads and a block whose order it has checked.
-    A block without a head, or that does not inflate, splits into the wrong
-    number of tokens or into an empty one, or is out of order, raises
-    StoreCorrupt naming ``where`` (the file and section), the block's byte
-    offset and what was expected.
+    A block without a head, or that does not inflate, holds bytes past its
+    zlib stream, splits into the wrong number of tokens or into an empty
+    one, or is out of order, raises StoreCorrupt naming ``where`` (the file
+    and section), the block's byte offset and what was expected.
     """
 
     def __init__(self, starts: Sequence[int] = (0,), data: bytes = b"", at: int = 0, where: str = "",
@@ -112,23 +129,19 @@ class TermTable:
 
     def _decode(self, b: int) -> list[bytes]:
         last = b == len(self._blocks) - 1
+        expected = f"; expected {f'1 to {BLOCK}' if last else BLOCK} non-empty tokens from token {BLOCK * b}"
         head = self.heads[b]
         rest = memoryview(self.data)[self.at + self.starts[b] + len(head) + 1 : self.at + self.starts[b + 1]]
-        try:
-            block = [head, *zlib.decompress(rest).split(b"\n")] if rest else [head]
-        except zlib.error as exc:
-            found = f"does not inflate ({exc})"
-        else:
-            if (len(block) <= BLOCK if last else len(block) == BLOCK) and all(block):
-                if self.ordered:
-                    self._check_order(b, block)
-                self._blocks[b] = block
-                return block
-            found = f"splits into {len(block)} tokens"
-            if not all(block):
-                found += f", of which token {BLOCK * b + block.index(b'')} is empty"
-        expected = f"1 to {BLOCK}" if last else BLOCK
-        raise self._corrupt(b, f"{found}; expected {expected} non-empty tokens from token {BLOCK * b}")
+        block = [head, *inflate(rest, lambda found: self._corrupt(b, found + expected)).split(b"\n")] if rest else [head]
+        if (len(block) <= BLOCK if last else len(block) == BLOCK) and all(block):
+            if self.ordered:
+                self._check_order(b, block)
+            self._blocks[b] = block
+            return block
+        found = f"splits into {len(block)} tokens"
+        if not all(block):
+            found += f", of which token {BLOCK * b + block.index(b'')} is empty"
+        raise self._corrupt(b, found + expected)
 
     def _check_order(self, b: int, block: list[bytes]) -> None:
         if not all(map(lt, block, islice(block, 1, None))):

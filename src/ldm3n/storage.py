@@ -20,8 +20,11 @@ offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
                                     whose ids continue each parity
             s, p, o                 derived triples, in derivation order
 
-Integer sections are little-endian with itemsize 4, or 8 when a value needs
-it; ``rows`` takes itemsize 1 when every count is below 256. A base triple's
+Integer sections hold items of itemsize 4, or 8 when a value needs it;
+``rows`` takes itemsize 1 when every count is below 256. Each is stored as
+its byte planes, plane k holding byte k (little-endian) of every item, one
+after another and deflated as one zlib stream at level 1; the section table
+keeps the items' itemsize and the stored length. A base triple's
 subject is not stored: ``rows`` implies it. Nor is the load report, which
 ``load_triples`` returns and ``load`` prints; the counts are the sections'
 sizes. Each block of a term table is the UTF-8 text of 64 consecutive
@@ -32,24 +35,28 @@ order, so ``base``'s tables ascend in UTF-8 byte order and a lookup bisects
 the heads, decodes one block and bisects it; a block is decoded once and
 kept as a list. No token count is stored: every block but a table's last
 holds 64 tokens, and ``blk`` holds each block's start in ``tok`` and then
-``tok``'s length. Sections are written straight from the arrays that hold
-the integer columns and from the blocks, so no section is copied whole on
-its way to the file.
-Stores of versions 1 to 6 are refused with a message to reload them.
-``open_store`` reads ``base`` alone. It checks every CRC, that each table's
-block starts run from 0 to the length of its ``tok``, that every block has a
-head and the heads strictly ascend, that its last block holds 1 to 64
-tokens, that ``rows`` holds one count per even id and the counts sum to the
-length of ``p`` and ``o``, and that every id of ``p`` and ``o`` was issued
-and no predicate is a literal, then takes views of the bytes: no other
-block is inflated and no term parsed until a token is read. A block that
-does not inflate, splits into other than its count of tokens or into an
-empty one, or whose tokens do not strictly ascend and end below the next
-block's head, raises StoreCorrupt when it is read. So a lookup bisects only
-heads and a block whose order it has checked.
-``read_delta`` reads ``delta``, checking its CRCs, the base CRC it records
-and its ids, and only the commands that query derived triples call it: a
-damaged ``delta`` fails those alone, and ``save_delta`` replaces it. Its
+``tok``'s length. Sections are written from the blocks and from the arrays
+that hold the integer columns, a plane at a time, so no section is copied
+whole on its way to the file.
+Stores of versions 1 to 7 are refused with a message to reload them.
+``open_store`` reads ``base`` alone. It checks every CRC, that every integer
+section inflates, as exactly one zlib stream with nothing after it, to a
+whole number of items, that each table's block starts run from 0 to the
+length of its ``tok``, that every block has a head and the heads strictly
+ascend, that its last block holds 1 to 64 tokens, that the odd table's
+first and last tokens are literals and the even table's sort above them,
+that ``rows`` holds one count per even id and the counts sum to the length
+of ``p`` and ``o``, and that every id of ``p`` and ``o`` was issued and no
+predicate is a literal; the decoded columns are read-only. No other block
+is inflated and no term parsed until a token is read. A block that does
+not inflate, holds bytes past its zlib stream, splits into other than its
+count of tokens or into an empty one, or whose tokens do not strictly
+ascend and end below the next block's head, raises StoreCorrupt when it is
+read. So a lookup bisects only heads and a block whose order it has checked.
+``read_delta`` reads ``delta``, checking its CRCs and integer sections, the
+base CRC it records, the kind of every token and its ids, and only the
+commands that query derived triples call it: a damaged ``delta`` fails
+those alone, and ``save_delta`` replaces it. Its
 tables hold their tokens in id order, as they were minted, and are read
 whole into memory, so their order is not checked. The
 initial/terminal edge pair of each triple is implicit in its row, so the
@@ -79,12 +86,12 @@ from operator import and_, countOf, eq, lshift, ne, or_, rshift
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dictionary import BLOCK, MAX_ID, Dictionary, TermTable
+from .dictionary import BLOCK, MAX_ID, Dictionary, TermTable, inflate
 from .errors import StoreCorrupt, UnknownNode
 from .terms import Term, Triple, format_term, parse_term
 
 MAGIC = b"LDM3N\0"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 _HEADER = struct.Struct("<6sHII")
 _ENTRY = struct.Struct("<QQII")
 _COUNT = struct.Struct("<I")
@@ -403,17 +410,28 @@ def _term_sections(tokens: list[str]) -> list[Section]:
     return [_int_section(accumulate(map(len, blocks), initial=0)), blocks]
 
 
+def _deflate(column: array) -> list[bytes]:
+    """A little-endian column as it is stored: its byte planes, plane k
+    holding byte k of every item, deflated one after another into one zlib
+    stream at level 1. One plane is copied at a time."""
+    raw = memoryview(column).cast("B")
+    step = column.itemsize
+    planes = [raw] if step == 1 else (_plane(raw, k, step) for k in range(step))
+    deflater = zlib.compressobj(1)
+    return [*map(deflater.compress, planes), deflater.flush()]
+
+
 def _write_file(path: Path, sections: list[Section]) -> None:
-    """Write a header, the section table and the sections to a temporary
-    file, make it durable, then rename it to ``path`` and make the rename
-    durable."""
-    bodies = [([body], body.itemsize) if isinstance(body, array) else (body, 1) for body in sections]
+    """Write a header, the section table and the sections, each integer
+    column deflated (``_deflate``), to a temporary file, make it durable,
+    then rename it to ``path`` and make the rename durable."""
+    bodies = [(_deflate(body), body.itemsize) if isinstance(body, array) else (body, 1) for body in sections]
     offset = _HEADER.size + _ENTRY.size * len(sections)
     entries = []
     for chunks, itemsize in bodies:
         length = crc = 0
         for chunk in chunks:
-            length += len(chunk) * itemsize
+            length += len(chunk)
             crc = zlib.crc32(chunk, crc)
         entries.append(_ENTRY.pack(offset, length, itemsize, crc))
         offset += length
@@ -464,14 +482,24 @@ class _File:
     sections: dict[str, tuple[int, int, int]]  # name -> (offset, length, itemsize)
     crc: int
 
-    def ints(self, name: str) -> Sequence[int]:
+    def ints(self, name: str) -> memoryview:
+        """An integer section's items, read-only: its byte planes inflated
+        (see ``inflate``) and interleaved, plane k giving byte k of every
+        little-endian item. A big-endian host lays the planes in reverse,
+        which swaps each item's bytes."""
         offset, length, itemsize = self.sections[name]
-        if _LITTLE:
-            return memoryview(self.data)[offset : offset + length].cast(_CODES[itemsize])
-        column = array(_CODES[itemsize])
-        column.frombytes(self.data[offset : offset + length])
-        column.byteswap()
-        return column
+        expected = f"; expected one zlib stream of the byte planes of {itemsize}-byte items"
+        data = inflate(memoryview(self.data)[offset : offset + length], lambda found: self.fail(name, found + expected))
+        n, extra = divmod(len(data), itemsize)
+        if extra:
+            raise self.fail(name, f"inflates to {len(data)} bytes; expected a whole number of {itemsize}-byte items")
+        if itemsize > 1:
+            planes = memoryview(data)
+            data = bytearray(len(planes))
+            for k in range(itemsize):
+                j = k if _LITTLE else itemsize - 1 - k
+                data[k::itemsize] = planes[n * j : n * (j + 1)]
+        return memoryview(data).toreadonly().cast(_CODES[itemsize])
 
     def table(self, parity: str, ordered: bool = False) -> TermTable:
         """The term table, its heads read and its last block decoded: that
@@ -524,7 +552,7 @@ def _read_file(path: Path, names: tuple[str, ...]) -> _File:
                 f"{path}: section {name} spans bytes {at} to {at + length}; expected it at byte"
                 f" offset {offset}, within the {len(data)}-byte file"
             )
-        if itemsize not in _ITEMSIZES.get(name, (4, 8)) or length % itemsize:
+        if itemsize not in _ITEMSIZES.get(name, (4, 8)):
             raise StoreCorrupt(f"{path}: section {name} at byte offset {at}: bad itemsize {itemsize} for {length} bytes")
         body_crc = zlib.crc32(memoryview(data)[at : at + length])
         if body_crc != crc:
@@ -540,30 +568,51 @@ def _read_file(path: Path, names: tuple[str, ...]) -> _File:
 
 
 def _check_tables(f: _File, tables: tuple[TermTable, TermTable]) -> None:
-    """Parse the last token of each table: a layout mismatch fails here."""
+    """Check the kind of the first and last token of each table, which in
+    ``base`` bound the others, and parse the last: a layout mismatch fails
+    here. The first is its first block's head, so no block is inflated."""
     for parity, table in zip(("even", "odd"), tables):
         if len(table):
+            last = len(table) - 1
+            token = table.raw(last)
+            _check_kind(f, parity, 0, table.heads[0])
+            _check_kind(f, parity, last, token)
             try:
-                parse_term(table.raw(len(table) - 1).decode("utf-8"))
+                parse_term(token.decode("utf-8"))
             except ValueError as exc:
                 raise f.fail(parity + "_tok", f"last token does not parse: {exc}") from None
 
 
+def _check_kind(f: _File, parity: str, i: int, token: bytes) -> None:
+    """StoreCorrupt unless token ``i`` of the ``parity`` table is of its
+    kind: the odd table's are literals, which start with ``"``, and the even
+    table's sort above them."""
+    if token[:1] == b'"' if parity == "odd" else token[:1] > b'"':
+        return
+    expected = "a literal, which starts with" if parity == "odd" else "a non-literal, which starts above"
+    raise f.fail(parity + "_tok", f"token {i} starts with {token[:1]!r}; expected {expected} b'\"'")
+
+
+def _plane(raw: memoryview, k: int, step: int) -> bytes:
+    """Byte k of each ``step``-byte item of ``raw``, copied a chunk at a
+    time: no Python step per item."""
+    size = _CHUNK * step
+    # A strided slice of bytes is 3-4 times as fast as one of a memoryview.
+    return b"".join(raw[i : i + size].tobytes()[k::step] for i in range(0, len(raw), size))
+
+
 def _odd(column: Sequence[int]) -> bytes:
     """1 for each odd id of a column of native integers, 0 for each even one,
-    read off the ids' low bytes a chunk at a time: no Python step per id."""
+    read off the ids' low bytes."""
     view = memoryview(column)
-    step, size, raw = view.itemsize, _CHUNK * view.itemsize, view.cast("B")
-    # A strided slice of bytes is 3-4 times as fast as one of a memoryview.
-    low = (raw[i : i + size].tobytes()[0 if _LITTLE else step - 1 :: step] for i in range(0, len(raw), size))
-    return b"".join(low).translate(_ODD)
+    step = view.itemsize
+    return _plane(view.cast("B"), 0 if _LITTLE else step - 1, step).translate(_ODD)
 
 
 def _check_ids(f: _File, name: str, column: Sequence[int], dictionary: Dictionary, literals: bool = True) -> None:
     """StoreCorrupt naming the first id of section ``name`` that was never
     issued, or, unless ``literals``, is a literal."""
     evens, odds = dictionary.id_ranges()
-    itemsize = f.sections[name][2]
     odd = _odd(column)
     if literals:
         ok = max(compress(column, odd), default=0) < odds.stop
@@ -572,10 +621,7 @@ def _check_ids(f: _File, name: str, column: Sequence[int], dictionary: Dictionar
     if ok and min(column, default=1) >= 1 and max(compress(column, odd.translate(_NOT)), default=0) < evens.stop:
         return
     i, x = next((i, x) for i, x in enumerate(column) if x not in evens and (not literals or x not in odds))
-    raise StoreCorrupt(
-        f"{f.path}: section {name}: id {x} was never issued"
-        f"{'' if literals else ' as a non-literal'}, at byte offset {f.sections[name][0] + i * itemsize}"
-    )
+    raise f.fail(name, f"id {x} was never issued{'' if literals else ' as a non-literal'}, at item {i}")
 
 
 def _columns(f: _File, names: str) -> list[Sequence[int]]:
@@ -634,8 +680,10 @@ def read_delta(store: Store) -> list[tuple[int, int, int]]:
     _check_tables(f, minted)
     for literal, table in enumerate(minted):
         for i in range(len(table)):
+            token = table.raw(i)
+            _check_kind(f, ("even", "odd")[literal], i, token)
             try:
-                store.dictionary.issue(table.raw(i).decode("utf-8"), bool(literal))
+                store.dictionary.issue(token.decode("utf-8"), bool(literal))
             except UnicodeDecodeError as exc:
                 raise f.fail(("even_tok", "odd_tok")[literal], f"token {i}: {exc}") from None
     columns = _columns(f, "spo")

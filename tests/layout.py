@@ -7,11 +7,14 @@ table is two sections: ``*_blk``, where each block of 64 tokens starts in
 ``*_tok``, then ``*_tok``'s length; and ``*_tok``, the blocks, each its first
 token, a newline, and its other tokens joined by newlines and deflated.
 ``base``'s tables hold their tokens in ascending byte order, which is the
-order of their ids. ``rows`` holds each even id's triple count. Tests use this
-to look inside a store, to forge files whose CRCs all hold, and to render a
-file as an older format laid it out: as format 4 did, with each table's text
-whole beside its token offsets, ``by_token`` and ``rows`` as row starts, which
-no zlib build changes.
+order of their ids. ``rows`` holds each even id's triple count. Every section
+but ``*_tok`` holds integers, stored as their little-endian byte planes, plane
+k holding byte k of every item, deflated as one zlib stream; its itemsize is
+the items'. Tests use this to look inside a store, to forge files whose CRCs all hold,
+and to render a file as an older format laid it out: as format 4 did, with
+each table's text whole beside its token offsets, ``by_token``, ``rows`` as
+row starts and every integer section as its raw items, which no zlib build
+changes.
 """
 
 import struct
@@ -20,7 +23,7 @@ from itertools import accumulate
 
 HEADER = struct.Struct("<6sHII")
 ENTRY = struct.Struct("<QQII")
-VERSION = 7
+VERSION = 8
 BLOCK = 64
 TABLES = ("even_blk", "even_tok", "odd_blk", "odd_tok")
 NAMES = {
@@ -45,12 +48,34 @@ def sections(path, data: bytes | None = None) -> dict[str, tuple[int, bytes, int
 CODES = {1: "B", 4: "I", 8: "Q"}
 
 
+def le(values: list[int], itemsize: int = 4) -> bytes:
+    """Little-endian items, as formats 7 and older stored integers."""
+    return struct.pack(f"<{len(values)}{CODES[itemsize]}", *values)
+
+
+def from_le(raw: bytes, itemsize: int) -> list[int]:
+    return list(struct.unpack(f"<{len(raw) // itemsize}{CODES[itemsize]}", raw))
+
+
+def inflate_planes(body: bytes, itemsize: int) -> bytes:
+    """The little-endian items of a stored integer section."""
+    planes = zlib.decompress(body)
+    n = len(planes) // itemsize
+    raw = bytearray(len(planes))
+    for k in range(itemsize):
+        raw[k::itemsize] = planes[k * n : (k + 1) * n]
+    return bytes(raw)
+
+
 def ints(body: bytes, itemsize: int) -> list[int]:
-    return list(struct.unpack(f"<{len(body) // itemsize}{CODES[itemsize]}", body))
+    """The values of a stored integer section."""
+    return from_le(inflate_planes(body, itemsize), itemsize)
 
 
 def pack(values: list[int], itemsize: int = 4) -> bytes:
-    return struct.pack(f"<{len(values)}{CODES[itemsize]}", *values)
+    """A stored integer section of ``values``."""
+    raw = le(values, itemsize)
+    return zlib.compress(b"".join(raw[k::itemsize] for k in range(itemsize)), 1)
 
 
 def assemble(bodies: dict[str, tuple[bytes, int]], version: int = VERSION) -> bytes:
@@ -124,21 +149,26 @@ def starts(sizes) -> tuple[bytes, int]:
     starts: 4 bytes each unless a sum needs 8."""
     values = list(accumulate(sizes, initial=0))
     itemsize = 8 if values[-1] >> 32 else 4
-    return pack(values, itemsize), itemsize
+    return le(values, itemsize), itemsize
 
 
 def old_bodies(path, version: int = 4) -> dict[str, tuple[bytes, int]]:
-    """The sections as format ``version`` (4 to 6) laid them out, with a
-    ``base``'s ``by_token``, every id sorted by its token's bytes, before
-    ``rows``. Format 4 kept each term table's text whole beside the offsets
-    of its tokens, and ``rows`` as row starts; format 5 kept the text in zlib
-    blocks of 64 tokens back to back, with ``*_blk`` between its offsets and
-    blocks; format 6 kept ``rows`` as counts and each block as its 64 tokens
-    joined by newlines and deflated, with no offsets."""
+    """The sections as format ``version`` (4 to 7) laid them out: each
+    integer section as its little-endian items. Format 7 kept the other
+    sections as format 8 does. Formats 4 to 6 also stored a ``base``'s
+    ``by_token``, every id sorted by its token's bytes, before ``rows``.
+    Format 4 kept each term table's text whole beside the offsets of its
+    tokens, and ``rows`` as row starts; format 5 kept the text in zlib blocks
+    of 64 tokens back to back, with ``*_blk`` between its offsets and blocks;
+    format 6 kept ``rows`` as counts and each block as its 64 tokens joined by
+    newlines and deflated, with no offsets."""
     bodies = {}
     table = {}
     for name, (_, body, itemsize) in sections(path).items():
-        if name.endswith("_blk"):
+        if name.endswith("_tok"):
+            if version == 7:
+                bodies[name] = (body, itemsize)
+        elif name.endswith("_blk") and version < 7:
             parity = name[:-4]
             whole = [token for block in tokens(path, parity) for token in block]
             table |= {2 * i + 2 - (parity == "odd"): token for i, token in enumerate(whole)}
@@ -151,12 +181,12 @@ def old_bodies(path, version: int = 4) -> dict[str, tuple[bytes, int]]:
                 blocks = [zlib.compress(sep.join(whole[i : i + BLOCK]), 1) for i in range(0, len(whole), BLOCK)]
                 bodies[name] = starts(map(len, blocks))
                 bodies[parity + "_tok"] = (b"".join(blocks), 1)
-        elif name == "rows":
+        elif name == "rows" and version < 7:
             by_token = sorted(table, key=table.__getitem__)
-            bodies["by_token"] = (pack(by_token, 8), 8) if max(by_token, default=0) >> 32 else (pack(by_token), 4)
-            bodies[name] = (body, itemsize) if version == 6 else starts(ints(body, itemsize))
-        elif not name.endswith("_tok"):
-            bodies[name] = (body, itemsize)
+            bodies["by_token"] = (le(by_token, 8), 8) if max(by_token, default=0) >> 32 else (le(by_token), 4)
+            bodies[name] = (inflate_planes(body, itemsize), itemsize) if version == 6 else starts(ints(body, itemsize))
+        else:
+            bodies[name] = (inflate_planes(body, itemsize), itemsize)
     return bodies
 
 
@@ -167,6 +197,6 @@ def as_v4(path) -> bytes:
     bodies = old_bodies(path)
     if path.name == "delta":
         base = path.parent / "base"
-        assert ints(*bodies["base"]) == [HEADER.unpack_from(base.read_bytes())[2]]
-        bodies["base"] = (pack([HEADER.unpack_from(as_v4(base))[2]]), 4)
+        assert from_le(*bodies["base"]) == [HEADER.unpack_from(base.read_bytes())[2]]
+        bodies["base"] = (le([HEADER.unpack_from(as_v4(base))[2]]), 4)
     return assemble(bodies, 4)

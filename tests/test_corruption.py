@@ -11,6 +11,7 @@ replaces it.
 
 import re
 import shutil
+import zlib
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,9 @@ def forge_block(path, how: str) -> str:
         # The head stays; what follows it is zeros.
         blocks[0] = tokens[0] + b"\n" + bytes(len(blocks[0]) - len(tokens[0]) - 1)
         found = re.escape("does not inflate (Error -3 while decompressing data: ") + ".+" + re.escape(")")
+    elif how == "stray_bytes":
+        blocks[0] += b"stray bytes"
+        found = re.escape("holds 11 bytes past the end of its zlib stream")
     else:
         if how == "63_tokens":
             tokens[-2:] = [tokens[-2] + tokens[-1]]
@@ -248,7 +252,7 @@ def forge_block(path, how: str) -> str:
             + re.escape("; expected 64 non-empty tokens from token 0"))
 
 
-DAMAGED_BLOCKS = ["zlib_error", "63_tokens", "65_tokens", "empty_token"]
+DAMAGED_BLOCKS = ["zlib_error", "stray_bytes", "63_tokens", "65_tokens", "empty_token"]
 
 
 def two_blocks(tmp_path) -> Path:
@@ -262,10 +266,11 @@ def two_blocks(tmp_path) -> Path:
 @pytest.mark.parametrize("how", DAMAGED_BLOCKS)
 def test_damaged_block_fails_where_it_is_read(tmp_path, capsys, how):
     """A CRC-valid ``base`` whose first block of even tokens does not
-    inflate, or splits into other than 64 tokens or into an empty one,
-    opens, since only the last block of each table is read at open; reading
-    a token of that block fails with exit code 3, naming the file, the
-    section, the block's byte offset and the expected count."""
+    inflate, holds bytes past its zlib stream, or splits into other than 64
+    tokens or into an empty one, opens, since only the last block of each
+    table is read at open; reading a token of that block fails with exit
+    code 3, naming the file, the section, the block's byte offset and the
+    expected count."""
     path = two_blocks(tmp_path)
     message = forge_block(path / "base", how)
     store = open_store(path)
@@ -357,3 +362,171 @@ def test_tokens_out_of_order_fail_where_they_are_read(tmp_path, capsys, how):
     for command in commands:
         code, captured = run_cli(capsys, path, command)
         assert (code, captured.err) == (3, f"error: {message}\n"), command
+
+
+def every_command(tmp_path) -> list[list[str]]:
+    """Each command, as it queries the succession store."""
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"{EX}BillClinton,{EX}GeorgeWBush\n", encoding="utf-8")
+    ends = ["--source", f"<{EX}BillClinton>", "--target", f"<{EX}GeorgeWBush>"]
+    return [
+        ["spath", "--model", "ldm3n", *ends],
+        ["reach", "--model", "nlan", *ends],
+        ["bench", "--mode", "spath", "--model", "ldm3n", "--pairs", str(pairs)],
+        ["entail"],
+        ["validate"],
+        ["stats"],
+    ]
+
+
+def forge_ints(path, section: str, how: str) -> str:
+    """Rewrite ``path`` with integer section ``section`` replaced by one that
+    does not inflate, holds bytes past its zlib stream or inflates to other
+    than a whole number of items, every CRC recomputed; a pattern of the
+    message that names it."""
+    _, body, itemsize = layout.sections(path)[section]
+    if how == "does_not_inflate":
+        body = bytes(len(body))
+        found = re.escape("does not inflate (Error -3 while decompressing data: ") + ".+" + re.escape(")")
+    elif how == "stray_bytes":
+        body += b"stray bytes"
+        found = re.escape("holds 11 bytes past the end of its zlib stream")
+    else:
+        body, itemsize = zlib.compress(bytes(7)), 4
+        found = re.escape("inflates to 7 bytes; expected a whole number of 4-byte items")
+    if how != "ragged":
+        found += re.escape(f"; expected one zlib stream of the byte planes of {itemsize}-byte items")
+    layout.rewrite(path, **{section: (body, itemsize)})
+    at = layout.sections(path)[section][0]
+    return re.escape(f"{path}: section {section} at byte offset {at}: ") + found
+
+
+DAMAGED_INTS = ["does_not_inflate", "ragged"]
+
+
+@pytest.mark.parametrize("how", DAMAGED_INTS)
+@pytest.mark.parametrize("section", ["rows", "p", "o", "even_blk"])
+def test_damaged_integer_section_fails_every_command(tmp_path, capsys, section, how):
+    """The open inflates every integer section of ``base``, so a CRC-valid
+    one that does not inflate, or inflates to other than a whole number of
+    its items, fails the open and every command with exit code 3, naming
+    the file, the section, its byte offset and what was expected."""
+    path = tmp_path / "forged"
+    create_store(StoreConfig(path), succession_triples())
+    pattern = forge_ints(path / "base", section, how)
+    with pytest.raises(StoreCorrupt) as exc:
+        open_store(path)
+    assert re.fullmatch(pattern, str(exc.value))
+    for command in every_command(tmp_path):
+        code, captured = run_cli(capsys, path, command)
+        assert code == 3 and re.fullmatch(f"error: {pattern}\n", captured.err), command
+
+
+WITH_DERIVED = [
+    ["spath", "--with-derived", "--model", "ldm3n", "--source", f"<{EX}BillClinton>", "--target", f"<{EX}Office>"],
+    ["validate", "--with-derived"],
+    ["stats", "--with-derived"],
+]
+
+
+@pytest.mark.parametrize("how", DAMAGED_INTS)
+@pytest.mark.parametrize("section", ["s", "p", "o"])
+def test_damaged_delta_integer_section_fails_commands_with_derived(pristine, capsys, section, how):
+    """Only the commands that query derived triples read ``delta``, so a
+    CRC-valid triple column of it that does not inflate, or inflates to other
+    than a whole number of items, fails those alone with exit code 3."""
+    files, _, work = pristine
+    damaged_copy(files, work, "", 0, 0)
+    undamaged = [run_cli(capsys, work, command) for command in BASE_ONLY]
+    pattern = forge_ints(work / "delta", section, how)
+    with pytest.raises(StoreCorrupt) as exc:
+        read_delta(open_store(work))
+    assert re.fullmatch(pattern, str(exc.value))
+    assert [run_cli(capsys, work, command) for command in BASE_ONLY] == undamaged
+    for command in WITH_DERIVED:
+        code, captured = run_cli(capsys, work, command)
+        assert code == 3 and re.fullmatch(f"error: {pattern}\n", captured.err), command
+
+
+@pytest.mark.parametrize("section", ["even_tok", "p", "rows"])
+def test_stray_bytes_after_a_zlib_stream_are_rejected(tmp_path, capsys, section):
+    """``zlib.decompress`` ignores whatever follows the end of a stream, so
+    the reader inflates with a check that nothing does: a CRC-valid store of
+    one block a table whose even block, or an integer section, has bytes
+    appended fails the open and every command with exit code 3."""
+    path = tmp_path / "stray"
+    create_store(StoreConfig(path), succession_triples())
+    base = path / "base"
+    if section == "even_tok":
+        [block] = layout.blocks(base, "even")
+        layout.rewrite_blocks(base, "even", [block + b"stray bytes"])
+        message = (f"{base}: section even_tok: block 0 at byte offset {layout.sections(base)['even_tok'][0]}"
+                   " holds 11 bytes past the end of its zlib stream; expected 1 to 64 non-empty tokens from token 0")
+        pattern = re.escape(message)
+    else:
+        pattern = forge_ints(base, section, "stray_bytes")
+    with pytest.raises(StoreCorrupt) as exc:
+        open_store(path)
+    assert re.fullmatch(pattern, str(exc.value))
+    for command in every_command(tmp_path):
+        code, captured = run_cli(capsys, path, command)
+        assert code == 3 and re.fullmatch(f"error: {pattern}\n", captured.err), command
+
+
+def test_tokens_of_the_other_kind_are_rejected_in_base(tmp_path, capsys):
+    """Only literals start with ``"``, and a lookup picks its table by that
+    byte, so a CRC-valid table holding a token of the other kind would hide
+    it from every lookup. ``base``'s tables ascend, so the open checks the
+    first and last token of each: a literal first in the even table, or a
+    non-literal last in the odd one, fails every command with exit code 3."""
+    literal = tmp_path / "literal"
+    create_store(StoreConfig(literal), [Triple(ex("a"), ex("p"), ex("b"))])
+    base = literal / "base"
+    [tokens] = layout.tokens(base, "even")
+    assert tokens[0] == f"<{EX}a>".encode()
+    layout.rewrite_blocks(base, "even", [layout.block([b'"x"', *tokens[1:]])])
+    at = layout.sections(base)["even_tok"][0]
+    message = (f"{base}: section even_tok at byte offset {at}: token 0 starts with b'\"';"
+               " expected a non-literal, which starts above b'\"'")
+    with pytest.raises(StoreCorrupt) as exc:
+        open_store(literal)
+    assert str(exc.value) == message
+    commands = [["spath", "--model", "ldm3n", "--source", '"x"', "--target", f"<{EX}b>"], ["stats"]]
+    for command in commands:
+        code, captured = run_cli(capsys, literal, command)
+        assert (code, captured.err) == (3, f"error: {message}\n"), command
+
+    iri = tmp_path / "iri"
+    create_store(StoreConfig(iri), [Triple(ex("a"), ex("p"), Literal(v)) for v in ("v", "w")])
+    base = iri / "base"
+    layout.rewrite_blocks(base, "odd", [layout.block([b'"v"', f"<{EX}z>".encode()])])
+    at = layout.sections(base)["odd_tok"][0]
+    message = (f"{base}: section odd_tok at byte offset {at}: token 1 starts with b'<';"
+               " expected a literal, which starts with b'\"'")
+    with pytest.raises(StoreCorrupt) as exc:
+        open_store(iri)
+    assert str(exc.value) == message
+    code, captured = run_cli(capsys, iri, ["stats"])
+    assert (code, captured.err) == (3, f"error: {message}\n")
+
+
+def test_tokens_of_the_other_kind_are_rejected_in_delta(tmp_path, capsys):
+    """``read_delta`` reads every token the delta minted and checks the kind
+    of each: a literal among the even tokens fails the commands that query
+    derived triples with exit code 3; the others answer from ``base``."""
+    path = tmp_path / "minted"
+    store = create_store(StoreConfig(path), succession_triples())
+    minted = [store.dictionary.issue(token, False) for token in (f"<{EX}m/0>", '"m"', f"<{EX}m/2>")]
+    p = store.resolve(ex("hasSuccessor"))
+    save_delta(store, [(m, p, minted[0]) for m in minted])
+    delta = path / "delta"
+    at = layout.sections(delta)["even_tok"][0]
+    message = (f"{delta}: section even_tok at byte offset {at}: token 1 starts with b'\"';"
+               " expected a non-literal, which starts above b'\"'")
+    with pytest.raises(StoreCorrupt) as exc:
+        read_delta(open_store(path))
+    assert str(exc.value) == message
+    spath = ["spath", "--model", "ldm3n", "--source", f"<{EX}BillClinton>", "--target", f"<{EX}GeorgeWBush>"]
+    assert run_cli(capsys, path, spath)[0] == 0
+    code, captured = run_cli(capsys, path, ["stats", "--with-derived"])
+    assert (code, captured.err) == (3, f"error: {message}\n")

@@ -5,6 +5,7 @@ import re
 import shutil
 import stat
 import struct
+import sys
 import tempfile
 import tracemalloc
 import zlib
@@ -13,7 +14,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import layout
 from ldm3n import (Literal, Model, StoreConfig, Triple, cli, create_store, format_term, forward_transform, open_store,
@@ -351,7 +352,7 @@ def test_store_files_exist_with_magic(tmp_path, succession_triples):
     assert sorted(p.name for p in path.iterdir()) == ["base"]
     data = (path / "base").read_bytes()
     magic, version, table_crc, count = layout.HEADER.unpack_from(data)
-    assert (magic, version, count) == (b"LDM3N\0", 7, 7)
+    assert (magic, version, count) == (b"LDM3N\0", 8, 7)
     assert table_crc == zlib.crc32(data[12 : 16 + 24 * count])
     offset = 16 + 24 * count
     for i in range(count):
@@ -384,7 +385,7 @@ def test_crc_mismatch_names_file_offset_and_crcs(tmp_path, succession_triples):
     base = path / "base"
     at, body, _ = layout.sections(base)["p"]
     data = bytearray(base.read_bytes())
-    data[at] ^= 0x01  # low byte of the first predicate id
+    data[at] ^= 0x01  # the first byte of section p
     base.write_bytes(bytes(data))
     with pytest.raises(StoreCorrupt) as exc:
         open_store(path)
@@ -406,9 +407,9 @@ def test_delta_with_unissued_id_is_rejected(tmp_path, succession_triples):
     save_delta(store, [(bc, h1, h1), (h1, bc, 424242)])
     with pytest.raises(StoreCorrupt) as exc:
         read_delta(open_store(path))
-    # the second object id, 4 bytes into section o
+    # the second object id, item 1 of section o
     at = layout.sections(path / "delta")["o"][0]
-    assert str(exc.value) == f"{path / 'delta'}: section o: id 424242 was never issued, at byte offset {at + 4}"
+    assert str(exc.value) == f"{path / 'delta'}: section o at byte offset {at}: id 424242 was never issued, at item 1"
 
 
 def test_base_with_unissued_id_is_rejected(tmp_path, capsys):
@@ -420,7 +421,7 @@ def test_base_with_unissued_id_is_rejected(tmp_path, capsys):
     layout.rewrite(base, o=(layout.pack([424242]), 4))
     with pytest.raises(StoreCorrupt) as exc:
         open_store(path)
-    assert str(exc.value) == f"{base}: section o: id 424242 was never issued, at byte offset {at}"
+    assert str(exc.value) == f"{base}: section o at byte offset {at}: id 424242 was never issued, at item 0"
     code = main(["spath", "--store", str(path), "--model", "nlan", "--source", f"<{EX}a>", "--target", f"<{EX}b>"])
     assert code == 3 and "id 424242 was never issued" in capsys.readouterr().err
 
@@ -435,7 +436,7 @@ def test_literal_predicate_in_base_is_rejected(tmp_path):
     layout.rewrite(base, p=(layout.pack([v]), 4))
     with pytest.raises(StoreCorrupt) as exc:
         open_store(path)
-    assert str(exc.value) == f"{base}: section p: id {v} was never issued as a non-literal, at byte offset {at}"
+    assert str(exc.value) == f"{base}: section p at byte offset {at}: id {v} was never issued as a non-literal, at item 0"
 
 
 def test_delta_may_hold_literals_anywhere(tmp_path):
@@ -512,6 +513,52 @@ def test_section_writer_bytes(tmp_path):
     a, b = f"<{EX}a>".encode(), f"<{EX}b>".encode()
     assert storage._term_sections([a.decode(), b.decode()])[1] == [a + b"\n" + zlib.compress(b, 1)]
     assert storage._term_sections([a.decode()])[1] == [a + b"\n"]
+
+
+EDGE_VALUES = [0, 255, 256, 2**32 - 1, 2**32]
+
+
+def integer_columns(itemsize: int):
+    """(itemsize, values): values that fit ``itemsize`` bytes, edge values
+    among them."""
+    top = 256**itemsize - 1
+    value = st.sampled_from([v for v in EDGE_VALUES if v <= top]) | st.integers(0, top)
+    return st.tuples(st.just(itemsize), st.lists(value, max_size=300))
+
+
+@given(st.sampled_from([1, 4, 8]).flatmap(integer_columns))
+@example((1, []))
+@example((4, [2**32 - 1]))
+@example((8, [2**32, 0, 255, 256] * 50))
+def test_integer_sections_round_trip(column):
+    """Integer sections of each itemsize and any length read back as they
+    were written, and what is stored is the items' little-endian byte planes
+    deflated as one zlib stream, as tests/layout.py decodes them."""
+    itemsize, values = column
+    items = array(storage._CODES[itemsize], values)
+    if sys.byteorder == "big":  # the writer takes little-endian items
+        items.byteswap()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows"
+        storage._write_file(path, [items])
+        f = storage._read_file(path, ("rows",))  # rows takes each itemsize
+    at, length, stored_itemsize = f.sections["rows"]
+    assert stored_itemsize == itemsize
+    assert f.ints("rows").tolist() == values
+    assert layout.ints(f.data[at : at + length], itemsize) == values
+
+
+@pytest.mark.parametrize("little", [True, False])
+def test_decoded_columns_are_read_only(tmp_path, monkeypatch, succession_triples, little):
+    """An open store is shared by query workers, so the columns it decodes
+    refuse writes, on either byte order."""
+    monkeypatch.setattr(storage, "_LITTLE", little)
+    path = tmp_path / "ro"
+    store = create_store(StoreConfig(path), succession_triples)
+    f = storage._read_file(path / "base", storage._BASE_SECTIONS)
+    for column in (store.p, store.o, f.ints("rows"), f.ints("even_blk"), f.ints("odd_blk")):
+        with pytest.raises(TypeError):
+            column[0] = 0
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
@@ -632,7 +679,7 @@ def test_version_two_store_is_rejected(tmp_path, capsys):
 
 
 def assert_refused(path, version: int, capsys) -> None:
-    message = f"unsupported format version {version} (this build reads version 7; reload the store from N-Triples)"
+    message = f"unsupported format version {version} (this build reads version 8; reload the store from N-Triples)"
     with pytest.raises(StoreCorrupt, match=re.escape(message)):
         open_store(path)
     assert main(["stats", "--store", str(path)]) == 3
@@ -665,6 +712,16 @@ def test_version_six_store_is_rejected(tmp_path, succession_triples, capsys):
     base = path / "base"
     base.write_bytes(layout.assemble(layout.old_bodies(base, 6), 6))
     assert_refused(path, 6, capsys)
+
+
+def test_version_seven_store_is_rejected(tmp_path, succession_triples, capsys):
+    """Format 7 stored each integer section as its little-endian items."""
+    path = tmp_path / "v7"
+    store = create_store(StoreConfig(path), succession_triples)
+    base = path / "base"
+    base.write_bytes(layout.assemble(layout.old_bodies(base, 7), 7))
+    assert layout.sections(base)["p"][1:] == (layout.le(list(store.p)), 4)
+    assert_refused(path, 7, capsys)
 
 
 def test_malformed_token_fails_on_decode(tmp_path, succession_triples, capsys):
