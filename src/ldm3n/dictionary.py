@@ -15,33 +15,40 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left, bisect_right
 from heapq import merge
-from itertools import islice
-from operator import lt
+from itertools import accumulate, islice
+from operator import le, lt
 from typing import Callable, Iterator, Sequence
 
 from .errors import CapacityExhausted, StoreCorrupt, UnknownId
 from .terms import Literal, Term, format_term, parse_term
 
 MAX_ID = 2**64 - 1
-# Tokens per zlib block of a term table.
+# Tokens per block of a term table.
 _BLOCK_BITS = 6
 BLOCK = 1 << _BLOCK_BITS
+# The wbits of a raw deflate stream: no zlib header and no Adler-32 trailer,
+# since the CRC of the section that holds the stream covers its bytes.
+RAW = -15
 
 
-def inflate(data: bytes | memoryview, fail: Callable[[str], StoreCorrupt]) -> bytes:
-    """What ``data`` inflates to, which must be one whole zlib stream and
-    nothing after it, unlike ``zlib.decompress``, which ignores what follows
-    the stream; otherwise raises ``fail(found)``, where ``found`` says what
-    is wrong."""
-    inflater = zlib.decompressobj()
+def inflate(data: bytes | memoryview, fail: Callable[[str], StoreCorrupt], most: int | None = None) -> bytes:
+    """What ``data`` inflates to, which must be one whole raw deflate stream
+    (``RAW``) and nothing after it, unlike ``zlib.decompress``, which ignores
+    what follows the stream; otherwise raises ``fail(found)``, where
+    ``found`` says what is wrong. With ``most``, no more than ``most + 1``
+    bytes are ever decoded, and a stream that holds more than ``most`` is
+    refused."""
+    inflater = zlib.decompressobj(RAW)
     try:
-        out = inflater.decompress(data)
+        out = inflater.decompress(data, 0 if most is None else most + 1)
     except zlib.error as exc:
         raise fail(f"does not inflate ({exc})") from None
+    if most is not None and len(out) > most:
+        raise fail(f"inflates to more than {most} bytes")
     if not inflater.eof:
-        raise fail("does not inflate (the zlib stream is cut short)")
+        raise fail("does not inflate (the deflate stream is cut short)")
     if inflater.unused_data:
-        raise fail(f"holds {len(inflater.unused_data)} bytes past the end of its zlib stream")
+        raise fail(f"holds {len(inflater.unused_data)} bytes past the end of its deflate stream")
     return out
 
 
@@ -57,15 +64,24 @@ def id_index(term_id: int) -> int:
     return term_id // 2 - 1 + (term_id & 1)
 
 
+def _extend(token: bytes, coded: tuple[int, bytes]) -> bytes:
+    """The token after ``token``, from its shared count and its suffix."""
+    return token[: coded[0]] + coded[1]
+
+
 class TermTable:
     """Tokens of one parity, in id order, in blocks of ``BLOCK`` tokens.
 
     Block b holds tokens ``BLOCK * b`` up to ``BLOCK * (b + 1)`` at
     ``data[at + starts[b] : at + starts[b + 1]]``: its first token, the
-    block's head, in the clear, then a newline, then the block's other tokens
-    joined by ``\\n`` (a canonical token never holds a raw newline) and
-    deflated on their own; a block of one token is its head and the newline.
-    No count is stored: every block but the last holds ``BLOCK`` tokens, and
+    block's head, in the clear, then a newline, then, if the block holds
+    other tokens, one raw deflate stream of its body, front-coded: one byte
+    holding n - 1, the count of its other tokens; n - 1 bytes, each the
+    count of leading bytes a token shares with the token before it, at most
+    255; and the n - 1 suffixes, each the rest of its token, joined by
+    newlines (a canonical token never holds a raw newline). The shared counts
+    sit ahead of the suffixes, so a count of 10, a newline's byte, never
+    meets the split. Every block but the last holds ``BLOCK`` tokens, and
     the last, which the table decodes when it is made, holds the rest. The
     heads are read when the table is made, so ``find`` bisects them without
     inflating anything and then decodes one block. A block is decoded the
@@ -75,9 +91,11 @@ class TermTable:
     ascend strictly and end below the next block's head when it is decoded,
     so ``find`` bisects only heads and a block whose order it has checked.
     A block without a head, or that does not inflate, holds bytes past its
-    zlib stream, splits into the wrong number of tokens or into an empty
-    one, or is out of order, raises StoreCorrupt naming ``where`` (the file
-    and section), the block's byte offset and what was expected.
+    deflate stream, counts other than its number of tokens, holds other than
+    that many shared counts and suffixes, shares more bytes with a token than
+    the token holds, decodes to an empty token, or is out of order, raises
+    StoreCorrupt naming ``where`` (the file and section), the block's byte
+    offset and what was expected.
     """
 
     def __init__(self, starts: Sequence[int] = (0,), data: bytes = b"", at: int = 0, where: str = "",
@@ -129,19 +147,34 @@ class TermTable:
 
     def _decode(self, b: int) -> list[bytes]:
         last = b == len(self._blocks) - 1
-        expected = f"; expected {f'1 to {BLOCK}' if last else BLOCK} non-empty tokens from token {BLOCK * b}"
+        first = BLOCK * b
+        expected = f"; expected {f'1 to {BLOCK}' if last else BLOCK} non-empty tokens from token {first}"
         head = self.heads[b]
         rest = memoryview(self.data)[self.at + self.starts[b] + len(head) + 1 : self.at + self.starts[b + 1]]
-        block = [head, *inflate(rest, lambda found: self._corrupt(b, found + expected)).split(b"\n")] if rest else [head]
-        if (len(block) <= BLOCK if last else len(block) == BLOCK) and all(block):
-            if self.ordered:
-                self._check_order(b, block)
-            self._blocks[b] = block
-            return block
-        found = f"splits into {len(block)} tokens"
-        if not all(block):
-            found += f", of which token {BLOCK * b + block.index(b'')} is empty"
-        raise self._corrupt(b, found + expected)
+        block = [head]
+        if rest:
+            body = inflate(rest, lambda found: self._corrupt(b, found + expected))
+            if not body:
+                raise self._corrupt(b, "inflates to no count byte" + expected)
+            n = body[0]
+            if n != BLOCK - 1 and not last or n >= BLOCK:
+                raise self._corrupt(b, f"counts {n + 1} tokens" + expected)
+            shared = body[1 : 1 + n]
+            suffixes = body[1 + n :].split(b"\n")
+            if len(shared) != n or len(suffixes) != n:
+                raise self._corrupt(b, f"counts {n + 1} tokens but holds {len(shared)} shared counts and"
+                                       f" {len(suffixes)} suffixes" + expected)
+            block = list(accumulate(zip(shared, suffixes), _extend, initial=head))
+            if not all(map(le, shared, map(len, block))):
+                i = next(i for i in range(n) if shared[i] > len(block[i]))
+                raise self._corrupt(b, f"token {first + i + 1} shares {shared[i]} bytes with token {first + i},"
+                                       f" which holds {len(block[i])}; expected at most {len(block[i])}")
+            if not all(block):
+                raise self._corrupt(b, f"token {first + block.index(b'')} is empty" + expected)
+        if self.ordered:
+            self._check_order(b, block)
+        self._blocks[b] = block
+        return block
 
     def _check_order(self, b: int, block: list[bytes]) -> None:
         if not all(map(lt, block, islice(block, 1, None))):

@@ -23,14 +23,18 @@ offset, u64 length, u32 itemsize, u32 CRC-32), one per section:
 Integer sections hold items of itemsize 4, or 8 when a value needs it;
 ``rows`` takes itemsize 1 when every count is below 256. Each is stored as
 its byte planes, plane k holding byte k (little-endian) of every item, one
-after another and deflated as one zlib stream at level 1; the section table
-keeps the items' itemsize and the stored length. A base triple's
+after another and deflated as one raw deflate stream at level 1; the
+section table keeps the items' itemsize and the stored length. Every stream
+is raw deflate (``RAW``), with no zlib header or trailer: each section's
+CRC covers its bytes. A base triple's
 subject is not stored: ``rows`` implies it. Nor is the load report, which
 ``load_triples`` returns and ``load`` prints; the counts are the sections'
 sizes. Each block of a term table is the UTF-8 text of 64 consecutive
 tokens: the first, the block's head, in the clear, then a newline, then the
-others joined by newlines, which no canonical token holds raw, and deflated
-on their own (``zlib.compress`` at level 1). ``load`` issues ids in token
+others front-coded and deflated on their own at level 1: their count, how
+many bytes each shares with the token before it, and their suffixes joined
+by newlines, which no canonical token holds raw (see ``TermTable``, and
+``_term_sections`` for how the counts are found). ``load`` issues ids in token
 order, so ``base``'s tables ascend in UTF-8 byte order and a lookup bisects
 the heads, decodes one block and bisects it; a block is decoded once and
 kept as a list. No token count is stored: every block but a table's last
@@ -38,10 +42,11 @@ holds 64 tokens, and ``blk`` holds each block's start in ``tok`` and then
 ``tok``'s length. Sections are written from the blocks and from the arrays
 that hold the integer columns, a plane at a time, so no section is copied
 whole on its way to the file.
-Stores of versions 1 to 7 are refused with a message to reload them.
+Stores of versions 1 to 8 are refused with a message to reload them.
 ``open_store`` reads ``base`` alone. It checks every CRC, that every integer
-section inflates, as exactly one zlib stream with nothing after it, to a
-whole number of items, that each table's block starts run from 0 to the
+section inflates, as exactly one deflate stream with nothing after it, to
+a whole number of items and no more than one item past what it should hold
+(``_File.ints``), that each table's block starts run from 0 to the
 length of its ``tok``, that every block has a head and the heads strictly
 ascend, that its last block holds 1 to 64 tokens, that the odd table's
 first and last tokens are literals and the even table's sort above them,
@@ -49,8 +54,8 @@ that ``rows`` holds one count per even id and the counts sum to the length
 of ``p`` and ``o``, and that every id of ``p`` and ``o`` was issued and no
 predicate is a literal; the decoded columns are read-only. No other block
 is inflated and no term parsed until a token is read. A block that does
-not inflate, holds bytes past its zlib stream, splits into other than its
-count of tokens or into an empty one, or whose tokens do not strictly
+not inflate, holds bytes past its deflate stream, does not decode to its
+count of tokens, decodes to an empty one, or whose tokens do not strictly
 ascend and end below the next block's head, raises StoreCorrupt when it is
 read. So a lookup bisects only heads and a block whose order it has checked.
 ``read_delta`` reads ``delta``, checking its CRCs and integer sections, the
@@ -82,16 +87,16 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import and_, countOf, eq, lshift, ne, or_, rshift
+from operator import and_, countOf, eq, getitem, lshift, ne, or_, rshift, xor
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dictionary import BLOCK, MAX_ID, Dictionary, TermTable, inflate
+from .dictionary import BLOCK, MAX_ID, RAW, Dictionary, TermTable, inflate
 from .errors import StoreCorrupt, UnknownNode
 from .terms import Term, Triple, format_term, parse_term
 
 MAGIC = b"LDM3N\0"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 _HEADER = struct.Struct("<6sHII")
 _ENTRY = struct.Struct("<QQII")
 _COUNT = struct.Struct("<I")
@@ -105,6 +110,15 @@ _LITTLE = sys.byteorder == "little"
 # Byte translations: 1 for an odd byte, and 1 for a 0 byte.
 _ODD = bytes(i & 1 for i in range(256))
 _NOT = bytes([1]) + bytes(255)
+# The most leading bytes a front-coded token may share with the token before
+# it, which one byte holds.
+_MAX_SHARED = 255
+# Two w-byte strings whose XOR, read as a big-endian int, has bit length n
+# share (8 * w - n) // 8 leading bytes, which is
+# _SHARED[n + 8 * (_MAX_SHARED - w)].
+_SHARED = bytes([_MAX_SHARED]) + b"".join(bytes([k]) * 8 for k in reversed(range(_MAX_SHARED)))
+# The slice of a token past each shared count: its suffix.
+_PAST = tuple(slice(n, None) for n in range(_MAX_SHARED + 1))
 # Ids per chunk of a parity scan.
 _CHUNK = 1 << 14
 # The typecode of the id columns while the input streams, until an id needs
@@ -395,29 +409,48 @@ def _count_section(counts: list[int]) -> array:
 
 def _term_sections(tokens: list[str]) -> list[Section]:
     """Block starts, then the tokens' UTF-8 bytes in blocks of ``BLOCK``
-    tokens, each block its first token, a newline, and its other tokens
-    joined by newlines and deflated: no copy of the whole table is made.
-    Empties ``tokens`` from the end, a block at a time, as the blocks are
-    made."""
+    tokens, each block its first token, a newline, and, if it holds others,
+    their front-coded body as one raw deflate stream (see ``TermTable``): no
+    copy of the whole table is made. Empties ``tokens`` from the end, a block
+    at a time, as the blocks are made.
+
+    No Python step runs per byte or per token. Each token of a block is
+    padded with newlines to the block's widest token, at most
+    ``_MAX_SHARED`` bytes (a longer one is cut there), read as one
+    big-endian int and XORed with the int before it; the bit length of that
+    XOR gives, through ``_SHARED``, the bytes the two share. A token never
+    holds a newline, so the count never runs past the end of either token."""
     blocks = []
     for i in reversed(range(0, len(tokens), BLOCK)):
-        block = tokens[i].encode("utf-8") + b"\n"
-        if len(tokens) > i + 1:
-            block += zlib.compress("\n".join(tokens[i + 1 :]).encode("utf-8"), 1)
-        blocks.append(block)
+        block = list(map(str.encode, tokens[i:]))
         del tokens[i:]
+        if len(block) == 1:
+            blocks.append(block[0] + b"\n")
+            continue
+        longest = max(map(len, block))
+        width = min(longest, _MAX_SHARED)
+        padded = map(bytes.ljust, block, repeat(width), repeat(b"\n"))
+        if longest > width:
+            padded = map(getitem, padded, repeat(slice(width)))
+        ints = list(map(int.from_bytes, padded, repeat("big")))
+        bits = map(int.bit_length, map(xor, ints, islice(ints, 1, None)))
+        shared = bytes(map(_SHARED[8 * (_MAX_SHARED - width) :].__getitem__, bits))
+        suffixes = map(getitem, islice(block, 1, None), map(_PAST.__getitem__, shared))
+        deflater = zlib.compressobj(1, zlib.DEFLATED, RAW)
+        body = deflater.compress(bytes([len(shared)]) + shared + b"\n".join(suffixes)) + deflater.flush()
+        blocks.append(block[0] + b"\n" + body)
     blocks.reverse()
     return [_int_section(accumulate(map(len, blocks), initial=0)), blocks]
 
 
 def _deflate(column: array) -> list[bytes]:
     """A little-endian column as it is stored: its byte planes, plane k
-    holding byte k of every item, deflated one after another into one zlib
-    stream at level 1. One plane is copied at a time."""
+    holding byte k of every item, deflated one after another into one raw
+    deflate stream at level 1. One plane is copied at a time."""
     raw = memoryview(column).cast("B")
     step = column.itemsize
     planes = [raw] if step == 1 else (_plane(raw, k, step) for k in range(step))
-    deflater = zlib.compressobj(1)
+    deflater = zlib.compressobj(1, zlib.DEFLATED, RAW)
     return [*map(deflater.compress, planes), deflater.flush()]
 
 
@@ -482,14 +515,22 @@ class _File:
     sections: dict[str, tuple[int, int, int]]  # name -> (offset, length, itemsize)
     crc: int
 
-    def ints(self, name: str) -> memoryview:
+    def ints(self, name: str, most: int | None = None) -> memoryview:
         """An integer section's items, read-only: its byte planes inflated
         (see ``inflate``) and interleaved, plane k giving byte k of every
         little-endian item. A big-endian host lays the planes in reverse,
-        which swaps each item's bytes."""
+        which swaps each item's bytes. With ``most``, the count of items the
+        section should hold, the inflate stops one item past it, so the
+        caller's count check names a count one off, and a section that holds
+        more is refused before the rest of it is decoded."""
         offset, length, itemsize = self.sections[name]
-        expected = f"; expected one zlib stream of the byte planes of {itemsize}-byte items"
-        data = inflate(memoryview(self.data)[offset : offset + length], lambda found: self.fail(name, found + expected))
+        expected = f"; expected one deflate stream of the byte planes of {itemsize}-byte items"
+        limit = None
+        if most is not None:
+            limit = min((most + 1) * itemsize, sys.maxsize - 1)
+            expected += f", at most {most} of them"
+        data = inflate(memoryview(self.data)[offset : offset + length],
+                       lambda found: self.fail(name, found + expected), limit)
         n, extra = divmod(len(data), itemsize)
         if extra:
             raise self.fail(name, f"inflates to {len(data)} bytes; expected a whole number of {itemsize}-byte items")
@@ -505,8 +546,9 @@ class _File:
         """The term table, its heads read and its last block decoded: that
         block's token count gives the table's length. An ``ordered`` table's
         order is checked (see ``TermTable``)."""
-        starts = self.ints(parity + "_blk")
         at, length, _ = self.sections[parity + "_tok"]
+        # A block is at least a byte of head and a newline.
+        starts = self.ints(parity + "_blk", length // 2 + 1)
         if len(starts) < 1 or starts[0] != 0 or starts[-1] != length:
             raise self.fail(parity + "_blk", f"expected block starts from 0 to {length},"
                                              f" the length of {parity}_tok at byte offset {at}")
@@ -624,12 +666,14 @@ def _check_ids(f: _File, name: str, column: Sequence[int], dictionary: Dictionar
     raise f.fail(name, f"id {x} was never issued{'' if literals else ' as a non-literal'}, at item {i}")
 
 
-def _columns(f: _File, names: str) -> list[Sequence[int]]:
-    """The triple columns ``names``, which must be of one length."""
-    columns = [f.ints(name) for name in names]
+def _columns(f: _File, names: str, most: int | None = None) -> list[Sequence[int]]:
+    """The triple columns ``names``, which must be of one length, the first
+    of at most ``most`` items (see ``_File.ints``)."""
+    first = f.ints(names[0], most)
+    columns = [first, *(f.ints(name, len(first)) for name in names[1:])]
     for name, column in zip(names, columns):
-        if len(column) != len(columns[0]):
-            raise f.fail(name, f"{len(column)} ids, expected {len(columns[0])}")
+        if len(column) != len(first):
+            raise f.fail(name, f"{len(column)} ids, expected {len(first)}")
     return columns
 
 
@@ -643,18 +687,16 @@ def open_store(path: Path | str) -> Store:
     tables = (base.table("even", ordered=True), base.table("odd", ordered=True))
     _check_tables(base, tables)
     dictionary = Dictionary(tables)
-    counts = base.ints("rows")
-    p, o = _columns(base, "po")
+    counts = base.ints("rows", len(tables[0]))
     if len(counts) != len(tables[0]):
         raise base.fail("rows", f"{len(counts)} row counts, expected {len(tables[0])}, one per even id")
+    total = sum(counts)
+    p, o = _columns(base, "po", total)
     # A count cannot move a start back, so counts that sum to the columns'
     # length never give a row another subject's triples nor one past them.
-    try:
-        rows = array("I" if len(p) >> 32 == 0 else "Q", accumulate(counts, initial=0))
-    except OverflowError:  # a start past the columns' length
-        rows = None
-    if rows is None or rows[-1] != len(p):
-        raise base.fail("rows", f"row counts sum to {sum(counts)}, expected {len(p)}, the length of p and o")
+    if total != len(p):
+        raise base.fail("rows", f"row counts sum to {total}, expected {len(p)}, the length of p and o")
+    rows = array("I" if total >> 32 == 0 else "Q", accumulate(counts, initial=0))
     # Base triples come from parsed statements, whose predicate is never a
     # literal (nor is the subject, which only even ids' rows imply); derived
     # ones may have a literal anywhere (RANGE over a literal-valued property
@@ -672,7 +714,7 @@ def read_delta(store: Store) -> list[tuple[int, int, int]]:
     if not path.exists():
         return []
     f = _read_file(path, _DELTA_SECTIONS)
-    recorded = list(f.ints("base"))
+    recorded = list(f.ints("base", 1))
     if recorded != [store.base_crc]:
         raise f.fail("base", f"written for another base: it records {', '.join(map(hex, recorded))},"
                              f" base's section table has CRC {store.base_crc:#010x}")

@@ -5,25 +5,28 @@ table, u32 section count), then one 24-byte entry per section (u64 offset,
 u64 length, u32 itemsize, u32 CRC-32), then the sections back to back. A term
 table is two sections: ``*_blk``, where each block of 64 tokens starts in
 ``*_tok``, then ``*_tok``'s length; and ``*_tok``, the blocks, each its first
-token, a newline, and its other tokens joined by newlines and deflated.
-``base``'s tables hold their tokens in ascending byte order, which is the
-order of their ids. ``rows`` holds each even id's triple count. Every section
-but ``*_tok`` holds integers, stored as their little-endian byte planes, plane
-k holding byte k of every item, deflated as one zlib stream; its itemsize is
-the items'. Tests use this to look inside a store, to forge files whose CRCs all hold,
-and to render a file as an older format laid it out: as format 4 did, with
-each table's text whole beside its token offsets, ``by_token``, ``rows`` as
-row starts and every integer section as its raw items, which no zlib build
-changes.
+token, a newline, and, if it holds others, their front-coded body as one raw
+deflate stream: a byte holding their count, one byte per token holding how
+many bytes it shares with the token before it (at most 255), and their
+suffixes joined by newlines. ``base``'s tables hold their tokens in ascending
+byte order, which is the order of their ids. ``rows`` holds each even id's
+triple count. Every section but ``*_tok`` holds integers, stored as their
+little-endian byte planes, plane k holding byte k of every item, deflated as
+one raw deflate stream; its itemsize is the items'. Tests use this to look
+inside a store, to forge files whose CRCs all hold, and to render a file as an
+older format laid it out: as format 4 did, with each table's text whole
+beside its token offsets, ``by_token``, ``rows`` as row starts and every
+integer section as its raw items, which no zlib build changes.
 """
 
+import os
 import struct
 import zlib
 from itertools import accumulate
 
 HEADER = struct.Struct("<6sHII")
 ENTRY = struct.Struct("<QQII")
-VERSION = 8
+VERSION = 9
 BLOCK = 64
 TABLES = ("even_blk", "even_tok", "odd_blk", "odd_tok")
 NAMES = {
@@ -57,9 +60,20 @@ def from_le(raw: bytes, itemsize: int) -> list[int]:
     return list(struct.unpack(f"<{len(raw) // itemsize}{CODES[itemsize]}", raw))
 
 
-def inflate_planes(body: bytes, itemsize: int) -> bytes:
-    """The little-endian items of a stored integer section."""
-    planes = zlib.decompress(body)
+def deflate(data: bytes, level: int = 1) -> bytes:
+    """``data`` as one raw deflate stream, with no zlib header or trailer."""
+    deflater = zlib.compressobj(level, zlib.DEFLATED, -15)
+    return deflater.compress(data) + deflater.flush()
+
+
+def inflate(body: bytes) -> bytes:
+    return zlib.decompress(body, -15)
+
+
+def inflate_planes(body: bytes, itemsize: int, wbits: int = -15) -> bytes:
+    """The little-endian items of a stored integer section; ``wbits`` 15
+    reads format 8's zlib streams."""
+    planes = zlib.decompress(body, wbits)
     n = len(planes) // itemsize
     raw = bytearray(len(planes))
     for k in range(itemsize):
@@ -72,10 +86,15 @@ def ints(body: bytes, itemsize: int) -> list[int]:
     return from_le(inflate_planes(body, itemsize), itemsize)
 
 
+def planes(values: list[int], itemsize: int = 4) -> bytes:
+    """The little-endian byte planes of ``values``, one after another."""
+    raw = le(values, itemsize)
+    return b"".join(raw[k::itemsize] for k in range(itemsize))
+
+
 def pack(values: list[int], itemsize: int = 4) -> bytes:
     """A stored integer section of ``values``."""
-    raw = le(values, itemsize)
-    return zlib.compress(b"".join(raw[k::itemsize] for k in range(itemsize)), 1)
+    return deflate(planes(values, itemsize))
 
 
 def assemble(bodies: dict[str, tuple[bytes, int]], version: int = VERSION) -> bytes:
@@ -114,17 +133,44 @@ def rewrite_blocks(path, parity: str, new: list[bytes]) -> None:
     rewrite(path, **{parity + "_blk": (pack(starts), 4), parity + "_tok": (b"".join(new), 1)})
 
 
+def shared(a: bytes, b: bytes) -> int:
+    """The leading bytes ``b`` shares with ``a``, at most 255."""
+    return min(len(os.path.commonprefix([a, b])), 255)
+
+
+def body(tokens: list[bytes]) -> bytes:
+    """The front-coded body of a block: the count of the tokens after the
+    first, how many bytes each shares with the token before it, and their
+    suffixes joined by newlines."""
+    counts = bytes(shared(a, b) for a, b in zip(tokens, tokens[1:]))
+    return bytes([len(tokens) - 1]) + counts + b"\n".join(t[n:] for t, n in zip(tokens[1:], counts))
+
+
 def block(tokens: list[bytes]) -> bytes:
-    """A block of ``tokens``: the first, a newline, and the others joined by
-    newlines and deflated, if there are any."""
+    """A block of ``tokens``: the first, a newline, and the others'
+    front-coded body deflated, if there are any."""
     head, *rest = tokens
-    return head + b"\n" + (zlib.compress(b"\n".join(rest)) if rest else b"")
+    return head + b"\n" + (deflate(body(tokens)) if rest else b"")
 
 
 def split(block: bytes) -> list[bytes]:
     """The tokens of a block."""
     head, rest = block.split(b"\n", 1)
-    return [head, *zlib.decompress(rest).split(b"\n")] if rest else [head]
+    if not rest:
+        return [head]
+    coded = inflate(rest)
+    n = coded[0]
+    out = [head]
+    for count, suffix in zip(coded[1 : 1 + n], coded[1 + n :].split(b"\n"), strict=True):
+        out.append(out[-1][:count] + suffix)
+    return out
+
+
+def v8_block(tokens: list[bytes]) -> bytes:
+    """A block as formats 7 and 8 stored it: the first token, a newline,
+    and the others joined by newlines in one zlib stream."""
+    head, *rest = tokens
+    return head + b"\n" + (zlib.compress(b"\n".join(rest), 1) if rest else b"")
 
 
 def tokens(path, parity: str) -> list[list[bytes]]:
@@ -153,22 +199,29 @@ def starts(sizes) -> tuple[bytes, int]:
 
 
 def old_bodies(path, version: int = 4) -> dict[str, tuple[bytes, int]]:
-    """The sections as format ``version`` (4 to 7) laid them out: each
-    integer section as its little-endian items. Format 7 kept the other
-    sections as format 8 does. Formats 4 to 6 also stored a ``base``'s
-    ``by_token``, every id sorted by its token's bytes, before ``rows``.
-    Format 4 kept each term table's text whole beside the offsets of its
-    tokens, and ``rows`` as row starts; format 5 kept the text in zlib blocks
-    of 64 tokens back to back, with ``*_blk`` between its offsets and blocks;
-    format 6 kept ``rows`` as counts and each block as its 64 tokens joined by
-    newlines and deflated, with no offsets."""
+    """The sections as format ``version`` (4 to 8) laid them out. Formats 7
+    and 8 kept each block of a table as its first token, a newline, and the
+    others joined by newlines in one zlib stream (``v8_block``); format 8
+    stored each integer section as its byte planes in one zlib stream, and
+    formats 4 to 7 as its little-endian items. Formats 4 to 6 also stored a
+    ``base``'s ``by_token``, every id sorted by its token's bytes, before
+    ``rows``. Format 4 kept each term table's text whole beside the offsets
+    of its tokens, and ``rows`` as row starts; format 5 kept the text in zlib
+    blocks of 64 tokens back to back, with ``*_blk`` between its offsets and
+    blocks; format 6 kept ``rows`` as counts and each block as its 64 tokens
+    joined by newlines and deflated, with no offsets."""
     bodies = {}
     table = {}
     for name, (_, body, itemsize) in sections(path).items():
         if name.endswith("_tok"):
-            if version == 7:
-                bodies[name] = (body, itemsize)
-        elif name.endswith("_blk") and version < 7:
+            continue  # written with its block starts
+        if name.endswith("_blk") and version >= 7:
+            parity = name[:-4]
+            blocks = [v8_block(block) for block in tokens(path, parity)]
+            sizes = list(accumulate(map(len, blocks), initial=0))
+            bodies[name] = (zlib.compress(planes(sizes), 1) if version == 8 else le(sizes), 4)
+            bodies[parity + "_tok"] = (b"".join(blocks), 1)
+        elif name.endswith("_blk"):
             parity = name[:-4]
             whole = [token for block in tokens(path, parity) for token in block]
             table |= {2 * i + 2 - (parity == "odd"): token for i, token in enumerate(whole)}
@@ -185,6 +238,8 @@ def old_bodies(path, version: int = 4) -> dict[str, tuple[bytes, int]]:
             by_token = sorted(table, key=table.__getitem__)
             bodies["by_token"] = (le(by_token, 8), 8) if max(by_token, default=0) >> 32 else (le(by_token), 4)
             bodies[name] = (inflate_planes(body, itemsize), itemsize) if version == 6 else starts(ints(body, itemsize))
+        elif version == 8:
+            bodies[name] = (zlib.compress(inflate(body), 1), itemsize)
         else:
             bodies[name] = (inflate_planes(body, itemsize), itemsize)
     return bodies

@@ -9,8 +9,10 @@ code 3 with no traceback. Only the commands that query derived triples read
 replaces it.
 """
 
+import functools
 import re
 import shutil
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -226,33 +228,51 @@ def test_bad_row_counts_are_rejected(tmp_path, capsys, how):
 
 def forge_block(path, how: str) -> str:
     """Rewrite ``path`` with the first block of its even table damaged, every
-    CRC recomputed; what the reader will find there."""
+    CRC recomputed; a pattern of what the reader will find there."""
     blocks = layout.blocks(path, "even")
     assert len(blocks) == 2
     tokens = layout.split(blocks[0])
+    body = layout.body(tokens)
+    expected = "; expected 64 non-empty tokens from token 0"
     if how == "zlib_error":
         # The head stays; what follows it is zeros.
         blocks[0] = tokens[0] + b"\n" + bytes(len(blocks[0]) - len(tokens[0]) - 1)
         found = re.escape("does not inflate (Error -3 while decompressing data: ") + ".+" + re.escape(")")
     elif how == "stray_bytes":
         blocks[0] += b"stray bytes"
-        found = re.escape("holds 11 bytes past the end of its zlib stream")
-    else:
+        found = re.escape("holds 11 bytes past the end of its deflate stream")
+    elif how in ("63_tokens", "65_tokens"):
+        # The count byte agrees with the block's shared counts and suffixes.
         if how == "63_tokens":
             tokens[-2:] = [tokens[-2] + tokens[-1]]
-        elif how == "65_tokens":
-            tokens[5:6] = [tokens[5][:9], tokens[5][9:]]
         else:
-            tokens[5] = b""
+            tokens[5:6] = [tokens[5][:9], tokens[5][9:]]
         blocks[0] = layout.block(tokens)
-        found = re.escape(f"splits into {len(tokens)} tokens" + (", of which token 5 is empty" * (how == "empty_token")))
+        found = re.escape(f"counts {len(tokens)} tokens")
+    elif how in ("extra_suffix", "missing_suffix"):
+        # The count byte still says 64 tokens. Without the last suffix, the
+        # 63 shared counts take the first byte of the suffixes.
+        body = body + b"\nextra" if how == "extra_suffix" else b"\x3f" + layout.body(tokens[:-1])[1:]
+        blocks[0] = tokens[0] + b"\n" + layout.deflate(body)
+        suffixes = 64 if how == "extra_suffix" else 62
+        found = re.escape(f"counts 64 tokens but holds 63 shared counts and {suffixes} suffixes")
+    elif how == "shared_too_long":
+        # Token 6 claims one byte more than token 5 holds.
+        shared = len(tokens[5]) + 1
+        blocks[0] = tokens[0] + b"\n" + layout.deflate(body[:6] + bytes([shared]) + body[7:])
+        found = re.escape(f"token 6 shares {shared} bytes with token 5, which holds {shared - 1}")
+        expected = f"; expected at most {shared - 1}"
+    else:
+        tokens[5] = b""
+        blocks[0] = layout.block(tokens)
+        found = re.escape("token 5 is empty")
     layout.rewrite_blocks(path, "even", blocks)
     at = layout.sections(path)["even_tok"][0]
-    return (re.escape(f"{path}: section even_tok: block 0 at byte offset {at} ") + found
-            + re.escape("; expected 64 non-empty tokens from token 0"))
+    return (re.escape(f"{path}: section even_tok: block 0 at byte offset {at} ") + found + re.escape(expected))
 
 
-DAMAGED_BLOCKS = ["zlib_error", "stray_bytes", "63_tokens", "65_tokens", "empty_token"]
+DAMAGED_BLOCKS = ["zlib_error", "stray_bytes", "63_tokens", "65_tokens", "extra_suffix", "missing_suffix",
+                  "shared_too_long", "empty_token"]
 
 
 def two_blocks(tmp_path) -> Path:
@@ -266,11 +286,12 @@ def two_blocks(tmp_path) -> Path:
 @pytest.mark.parametrize("how", DAMAGED_BLOCKS)
 def test_damaged_block_fails_where_it_is_read(tmp_path, capsys, how):
     """A CRC-valid ``base`` whose first block of even tokens does not
-    inflate, holds bytes past its zlib stream, or splits into other than 64
-    tokens or into an empty one, opens, since only the last block of each
-    table is read at open; reading a token of that block fails with exit
-    code 3, naming the file, the section, the block's byte offset and the
-    expected count."""
+    inflate, holds bytes past its deflate stream, counts other than 64
+    tokens, holds other than 63 shared counts and suffixes, shares more
+    bytes with a token than it holds, or decodes to an empty token, opens,
+    since only the last block of each table is read at open; reading a token
+    of that block fails with exit code 3, naming the file, the section, the
+    block's byte offset and what was expected."""
     path = two_blocks(tmp_path)
     message = forge_block(path / "base", how)
     store = open_store(path)
@@ -379,23 +400,40 @@ def every_command(tmp_path) -> list[list[str]]:
     ]
 
 
+def bound(path, section: str) -> int | None:
+    """The most items the reader lets integer section ``section`` of
+    ``path`` hold, or None for ``delta``'s ``s``."""
+    found = layout.sections(path)
+    if section == "rows":
+        return sum(map(len, layout.tokens(path, "even")))
+    if section.endswith("_blk"):
+        return len(found[section[:-4] + "_tok"][1]) // 2 + 1
+    if section == "base":
+        return 1
+    if path.name == "delta":
+        return None if section == "s" else len(layout.ints(*found["s"][1:]))
+    return sum(layout.ints(*found["rows"][1:]))
+
+
 def forge_ints(path, section: str, how: str) -> str:
     """Rewrite ``path`` with integer section ``section`` replaced by one that
-    does not inflate, holds bytes past its zlib stream or inflates to other
-    than a whole number of items, every CRC recomputed; a pattern of the
-    message that names it."""
+    does not inflate, holds bytes past its deflate stream or inflates to
+    other than a whole number of items, every CRC recomputed; a pattern of
+    the message that names it."""
     _, body, itemsize = layout.sections(path)[section]
+    most = bound(path, section)
     if how == "does_not_inflate":
         body = bytes(len(body))
         found = re.escape("does not inflate (Error -3 while decompressing data: ") + ".+" + re.escape(")")
     elif how == "stray_bytes":
         body += b"stray bytes"
-        found = re.escape("holds 11 bytes past the end of its zlib stream")
+        found = re.escape("holds 11 bytes past the end of its deflate stream")
     else:
-        body, itemsize = zlib.compress(bytes(7)), 4
+        body, itemsize = layout.deflate(bytes(7)), 4
         found = re.escape("inflates to 7 bytes; expected a whole number of 4-byte items")
     if how != "ragged":
-        found += re.escape(f"; expected one zlib stream of the byte planes of {itemsize}-byte items")
+        found += re.escape(f"; expected one deflate stream of the byte planes of {itemsize}-byte items"
+                           + ("" if most is None else f", at most {most} of them"))
     layout.rewrite(path, **{section: (body, itemsize)})
     at = layout.sections(path)[section][0]
     return re.escape(f"{path}: section {section} at byte offset {at}: ") + found
@@ -450,10 +488,11 @@ def test_damaged_delta_integer_section_fails_commands_with_derived(pristine, cap
 
 @pytest.mark.parametrize("section", ["even_tok", "p", "rows"])
 def test_stray_bytes_after_a_zlib_stream_are_rejected(tmp_path, capsys, section):
-    """``zlib.decompress`` ignores whatever follows the end of a stream, so
-    the reader inflates with a check that nothing does: a CRC-valid store of
-    one block a table whose even block, or an integer section, has bytes
-    appended fails the open and every command with exit code 3."""
+    """``zlib.decompress`` ignores whatever follows the end of a deflate
+    stream, so the reader inflates with a check that nothing does: a
+    CRC-valid store of one block a table whose even block, or an integer
+    section, has bytes appended fails the open and every command with exit
+    code 3."""
     path = tmp_path / "stray"
     create_store(StoreConfig(path), succession_triples())
     base = path / "base"
@@ -461,7 +500,7 @@ def test_stray_bytes_after_a_zlib_stream_are_rejected(tmp_path, capsys, section)
         [block] = layout.blocks(base, "even")
         layout.rewrite_blocks(base, "even", [block + b"stray bytes"])
         message = (f"{base}: section even_tok: block 0 at byte offset {layout.sections(base)['even_tok'][0]}"
-                   " holds 11 bytes past the end of its zlib stream; expected 1 to 64 non-empty tokens from token 0")
+                   " holds 11 bytes past the end of its deflate stream; expected 1 to 64 non-empty tokens from token 0")
         pattern = re.escape(message)
     else:
         pattern = forge_ints(base, section, "stray_bytes")
@@ -471,6 +510,42 @@ def test_stray_bytes_after_a_zlib_stream_are_rejected(tmp_path, capsys, section)
     for command in every_command(tmp_path):
         code, captured = run_cli(capsys, path, command)
         assert code == 3 and re.fullmatch(f"error: {pattern}\n", captured.err), command
+
+
+@functools.cache
+def bomb() -> bytes:
+    """48 MiB of zero bytes as one raw deflate stream, about 49 KB."""
+    deflater = zlib.compressobj(9, zlib.DEFLATED, -15)
+    chunk = bytes(1 << 20)
+    return b"".join(deflater.compress(chunk) for _ in range(48)) + deflater.flush()
+
+
+@pytest.mark.parametrize("section", ["rows", "p", "o", "even_blk"])
+def test_an_inflate_stops_past_what_the_section_should_hold(tmp_path, capsys, section):
+    """A CRC-valid integer section of about 49 KB that inflates to 48 MiB is
+    refused one item past the count it should hold (one count per even id,
+    the counts' sum, one start per two bytes of the table), before the rest
+    is decoded: the open peaks under 10 MB, and every command exits 3."""
+    path = tmp_path / "bomb"
+    create_store(StoreConfig(path), succession_triples())
+    base = path / "base"
+    most = bound(base, section)
+    layout.rewrite(base, **{section: (bomb(), 4)})
+    at = layout.sections(base)[section][0]
+    message = (f"{base}: section {section} at byte offset {at}: inflates to more than {(most + 1) * 4} bytes;"
+               f" expected one deflate stream of the byte planes of 4-byte items, at most {most} of them")
+    tracemalloc.start()
+    try:
+        with pytest.raises(StoreCorrupt) as exc:
+            open_store(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 10 * 2**20
+    for command in every_command(tmp_path):
+        code, captured = run_cli(capsys, path, command)
+        assert (code, captured.err) == (3, f"error: {message}\n"), command
 
 
 def test_tokens_of_the_other_kind_are_rejected_in_base(tmp_path, capsys):

@@ -352,7 +352,7 @@ def test_store_files_exist_with_magic(tmp_path, succession_triples):
     assert sorted(p.name for p in path.iterdir()) == ["base"]
     data = (path / "base").read_bytes()
     magic, version, table_crc, count = layout.HEADER.unpack_from(data)
-    assert (magic, version, count) == (b"LDM3N\0", 8, 7)
+    assert (magic, version, count) == (b"LDM3N\0", 9, 7)
     assert table_crc == zlib.crc32(data[12 : 16 + 24 * count])
     offset = 16 + 24 * count
     for i in range(count):
@@ -502,16 +502,17 @@ def test_section_writer_bytes(tmp_path):
     assert (body, itemsize) == (b"".join(sections[1]), 1)
     assert f.ints("even_blk").tolist() == [0, *accumulate(map(len, sections[1]))] and length == len(body)
     assert struct.unpack_from("<I", f.data, layout.HEADER.size + layout.ENTRY.size + 20) == (zlib.crc32(body),)
-    # Each block is its first token, a newline, and its other tokens joined
-    # by newlines, whatever bytes zlib made of them; a block of one token is
-    # that token and the newline.
+    # Each block is its first token, a newline, and its other tokens'
+    # front-coded body, whatever bytes deflate made of it; a block of one
+    # token is that token and the newline.
     n = storage.BLOCK
     for b, block in enumerate(sections[1]):
         head, rest = block.split(b"\n", 1)
         assert head == tokens[b * n].encode("utf-8")
-        assert zlib.decompress(rest) == "\n".join(tokens[b * n + 1 : b * n + n]).encode("utf-8")
+        assert layout.inflate(rest) == layout.body([t.encode("utf-8") for t in tokens[b * n : b * n + n]])
     a, b = f"<{EX}a>".encode(), f"<{EX}b>".encode()
-    assert storage._term_sections([a.decode(), b.decode()])[1] == [a + b"\n" + zlib.compress(b, 1)]
+    [block] = storage._term_sections([a.decode(), b.decode()])[1]
+    assert block.split(b"\n", 1) == [a, layout.deflate(bytes([1, len(a) - 2]) + b[-2:])]
     assert storage._term_sections([a.decode()])[1] == [a + b"\n"]
 
 
@@ -583,6 +584,52 @@ def test_term_tables_round_trip(tmp_path, n):
     assert len(store.dictionary) == 2 * n
     for token, term_id in ids.items():
         assert (store.token(term_id), store.resolve(parse_term(token))) == (token, term_id)
+
+
+# "<http://x/" is 10 bytes, so tokens that part right after it share a count
+# of 10, a newline's byte; a stem of 150 "é" shares 300 bytes, past the 255
+# that one byte holds; "é" and "ê" share their first UTF-8 byte.
+FRONT_CODED_STEMS = ["", "é", "a" * 250, "é" * 150]
+
+
+@st.composite
+def front_coded_tables(draw) -> list[str]:
+    """1, 63, 64, 65 or 129 sorted IRI tokens of a common stem."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    stem = draw(st.sampled_from(FRONT_CODED_STEMS))
+    parts = draw(st.lists(st.text(alphabet="abéê\U0001d11e", max_size=4), min_size=n, max_size=n))
+    return sorted(f"<http://x/{stem}{part}/{i}>" for i, part in enumerate(parts))
+
+
+@given(front_coded_tables())
+@example([f"<http://x/{c}>" for c in "ab"])
+@example([f"<http://x/{'é' * 150}{c}>" for c in "ab"])
+@example(["<http://x/é>", "<http://x/ê>"])
+def test_front_coded_tables_round_trip(even):
+    """Tables written by ``_term_sections`` open and read back token by
+    token, every token resolving to its id, with the shared counts a plain
+    common-prefix loop gives, capped at 255: counts of 10, prefixes past 255
+    bytes and prefixes that end inside a UTF-8 character among them. The odd
+    table holds the same text as literals."""
+    odd = sorted(f'"{token[1:-1]}"' for token in even)
+    n = len(even)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        storage._write_file(base, [
+            *storage._term_sections(list(even)), *storage._term_sections(list(odd)),
+            storage._count_section([0] * n), storage._int_section([]), storage._int_section([]),
+        ])
+        for parity, tokens in (("even", even), ("odd", odd)):
+            encoded = [t.encode("utf-8") for t in tokens]
+            blocks = layout.blocks(base, parity)
+            for b, block in enumerate(blocks):
+                rest = block.split(b"\n", 1)[1]
+                coded = encoded[b * storage.BLOCK : (b + 1) * storage.BLOCK]
+                assert (layout.inflate(rest) if rest else b"\0") == layout.body(coded)
+        store = open_store(Path(tmp))
+        for i, (e, o) in enumerate(zip(even, odd)):
+            assert (store.token(2 * i + 2), store.token(2 * i + 1)) == (e, o)
+            assert (store.resolve(parse_term(e)), store.resolve(parse_term(o))) == (2 * i + 2, 2 * i + 1)
 
 
 def decoded_blocks(store) -> int:
@@ -679,7 +726,7 @@ def test_version_two_store_is_rejected(tmp_path, capsys):
 
 
 def assert_refused(path, version: int, capsys) -> None:
-    message = f"unsupported format version {version} (this build reads version 8; reload the store from N-Triples)"
+    message = f"unsupported format version {version} (this build reads version 9; reload the store from N-Triples)"
     with pytest.raises(StoreCorrupt, match=re.escape(message)):
         open_store(path)
     assert main(["stats", "--store", str(path)]) == 3
@@ -722,6 +769,23 @@ def test_version_seven_store_is_rejected(tmp_path, succession_triples, capsys):
     base.write_bytes(layout.assemble(layout.old_bodies(base, 7), 7))
     assert layout.sections(base)["p"][1:] == (layout.le(list(store.p)), 4)
     assert_refused(path, 7, capsys)
+
+
+def test_version_eight_store_is_rejected(tmp_path, succession_triples, capsys):
+    """Format 8 kept each block's other tokens joined by newlines, not
+    front-coded, and every stream with its zlib header and trailer."""
+    path = tmp_path / "v8"
+    store = create_store(StoreConfig(path), succession_triples)
+    base = path / "base"
+    [tokens] = layout.tokens(base, "even")
+    base.write_bytes(layout.assemble(layout.old_bodies(base, 8), 8))
+    found = layout.sections(base)
+    _, body, itemsize = found["p"]
+    assert layout.from_le(layout.inflate_planes(body, itemsize, 15), itemsize) == list(store.p)
+    assert layout.from_le(layout.inflate_planes(found["even_blk"][1], 4, 15), 4) == [0, len(found["even_tok"][1])]
+    head, rest = found["even_tok"][1].split(b"\n", 1)
+    assert [head, *zlib.decompress(rest).split(b"\n")] == tokens
+    assert_refused(path, 8, capsys)
 
 
 def test_malformed_token_fails_on_decode(tmp_path, succession_triples, capsys):
