@@ -24,6 +24,19 @@ from .terms import format_term, parse_term
 from .traversal import Model, shortest_path
 
 
+def _int_from(least: int):
+    """An argparse type: an int of at least ``least``, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ldm3n", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -47,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--model", choices=["ldm3n", "nlan"], required=True)
         q.add_argument("--source", required=True)
         q.add_argument("--target", required=True)
-        q.add_argument("--max-dist", type=int, default=None)
+        q.add_argument("--max-dist", type=_int_from(0), default=None)
         q.add_argument("--timing", action="store_true", help="append elapsed_ms (output no longer byte-stable)")
 
     p_entail = sub.add_parser("entail", parents=[store, singleton], help="forward-chain RDFS rules to fixpoint")
@@ -64,10 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", parents=[store, derived], help="batch reachability or shortest-path queries")
     p_bench.add_argument("--mode", choices=["reach", "spath"], required=True)
     p_bench.add_argument("--model", choices=["ldm3n", "nlan"], required=True)
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=_int_from(1), default=1)
     p_bench.add_argument("--pairs", required=True, help="CSV of source_iri,target_iri rows")
     p_bench.add_argument("--out", default="-", help="report destination (default stdout)")
-    p_bench.add_argument("--max-dist", type=int, default=None)
+    p_bench.add_argument("--max-dist", type=_int_from(0), default=None)
 
     sub.add_parser("stats", parents=[store, singleton, derived], help="store statistics as metric,value CSV")
     return parser

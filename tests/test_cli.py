@@ -174,11 +174,25 @@ def test_spath_unknown_term_exits_one(loaded_store, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_usage_error_exits_two(loaded_store):
-    with pytest.raises(SystemExit) as exc:
-        main(["spath", "--store", str(loaded_store), "--model", "wrong",
-              "--source", "<x>", "--target", "<y>"])
-    assert exc.value.code == 2
+def test_usage_error_exits_two(loaded_store, tmp_path, capsys):
+    store = ["--store", str(loaded_store)]
+    # Source is target, which a search finds at distance 0 under any bound
+    # of at least 0.
+    query = [*store, "--model", "ldm3n", "--source", f"<{EX}BillClinton>", "--target", f"<{EX}BillClinton>"]
+    bench = ["bench", *store, "--mode", "spath", "--model", "ldm3n", "--pairs", str(tmp_path / "missing.csv")]
+    for argv in (
+        ["spath", *store, "--model", "wrong", "--source", "<x>", "--target", "<y>"],
+        ["spath", *query, "--max-dist", "-1"],
+        ["reach", *query, "--max-dist", "-1"],
+        [*bench, "--max-dist", "-1"],
+        [*bench, "--workers", "0"],
+        [*bench, "--workers", "-3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: ldm3n" in captured.err
 
 
 def test_corrupt_store_exits_three(loaded_store, capsys):
@@ -320,11 +334,15 @@ def test_entail_stdout_and_delta_bytes_are_pinned(tmp_path, capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "e50f3d33004c1e204701687b572fc1ed4180356259b06a8fedfaf1d35edf42ce"
         )
-        # With its tables inflated, as for the base goldens.
-        layout.check_blocks(store / "delta")
-        assert hashlib.sha256(layout.as_v4(store / "delta")).hexdigest() == (
-            "d6edc7279d49c1d0d46fc6392d251ccc66f5851b980a4b8d16abcfb885ec7ef3"
+        # What the delta decodes to, as for the base goldens: its minted
+        # tokens and s, p and o. It extends the base it was derived from.
+        delta = store / "delta"
+        layout.check_blocks(delta)
+        assert hashlib.sha256(layout.canonical(delta)).hexdigest() == (
+            "922a68515a5d9c3b170bfb9b1d4afa78994c876a092aea5e76e523268b04632d"
         )
+        _, crc, itemsize = layout.sections(delta)["base"]
+        assert layout.ints(crc, itemsize) == [layout.HEADER.unpack_from((store / "base").read_bytes())[2]]
 
 
 def stats_triples(store, capsys) -> str:

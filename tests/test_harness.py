@@ -1,13 +1,16 @@
 import csv
+import gc
 import io
 import operator
 import re
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ldm3n import Literal, Model, Triple, dijkstra_ldm3n, dijkstra_nlan, forward_transform, shortest_path
+from ldm3n import traversal
 from ldm3n.errors import Ldm3nError, UnknownNode, UnknownProperty
 from ldm3n.harness import (
     GENERIC_POSITION_PROPERTY,
@@ -148,6 +151,40 @@ def test_batch_reachability_counts_on_chain(make_store):
     assert report.reachable_count == 15  # exactly the ascending pairs
     nlan_report = run_batch(store, group.pairs, Model.NLAN, "reach")
     assert nlan_report.reachable_count == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_no_collection_runs_inside_a_search(make_store, enabled):
+    """With a collection due at every allocation, a batch's collections all
+    fall between its searches, and the batch leaves the collector on or off
+    as it found it."""
+    store = chain_store(make_store, ChainSpec(groups=1, members=12, seed=6))
+    (group,) = generate_pairs(store, store.resolve(GENERIC_POSITION_PROPERTY))
+    search = traversal._dijkstra.__code__
+    seen = {"inside": 0, "outside": 0}
+
+    def count(phase, info):
+        if phase == "start":
+            frame = sys._getframe()
+            while frame is not None and frame.f_code is not search:
+                frame = frame.f_back
+            seen["outside" if frame is None else "inside"] += 1
+
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    (gc.enable if enabled else gc.disable)()
+    gc.set_threshold(1)
+    gc.callbacks.append(count)
+    try:
+        report = run_batch(store, group.pairs, Model.LDM3N, "spath")
+        after = gc.isenabled()
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+        (gc.enable if was else gc.disable)()
+    assert report.reachable_count == 66
+    assert after is enabled
+    assert seen["inside"] == 0
+    assert (seen["outside"] > 0) is enabled  # the hook sees the collections there are
 
 
 def test_worker_count_invariance(make_store):
