@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_entail = sub.add_parser("entail", parents=[store, singleton], help="forward-chain RDFS rules to fixpoint")
     p_entail.add_argument("--rules", default="rdfs5,rdfs7,rdfs9,domain,range")
     p_entail.add_argument("--strict-singletons", action="store_true")
-    p_entail.add_argument("--max-derived", type=int, default=None)
+    p_entail.add_argument("--max-derived", type=_int_from(0), default=None)
     p_entail.add_argument("--materialize", action="store_true", help="persist the delta into the store")
     p_entail.add_argument("--out", default="-", help="derived triples destination (default stdout)")
 

@@ -23,12 +23,17 @@ another on the calling thread; the ``workers`` count is accepted and echoed
 in the report, so every non-timing output is the same for any count.
 Reach batches keep status, distance and ``nodes_explored`` but rebuild no
 paths. A group's ordered pairs are a lazy view over its members, so memory
-stays linear in the group size.
+stays linear in the group size. The garbage collector is paused once for a
+whole batch: its records and paths are long-lived, and a full collection
+would only walk them.
 
-Reports are written one row at a time. A row whose fields hold no ``,``,
-``"``, ``\\r`` or ``\\n`` is joined and written as it is; only a row that
-needs quoting (a literal token, an IRI or error message with a comma) goes
-through ``csv.writer``, which writes the same bytes for the other rows.
+Reports are written one row at a time. A path that extends the one rendered
+before it (the next target along a chain) is rendered from that path's text
+plus its new ids, so each id is looked up once per extension, not once per
+path. A row whose endpoints and path or error field hold no ``,``, ``"``,
+``\\r`` or ``\\n`` is joined and written as it is; only a row that needs
+quoting (a literal token, an IRI or error message with a comma) goes through
+``csv.writer``, which writes the same bytes for the other rows.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from typing import IO, Iterable, Iterator, Sequence
 from .errors import UnknownNode, UnknownProperty
 from .semantics import RDF_SINGLETON_PROPERTY_OF, Vocabulary, resolve_vocabulary
 from .terms import IRI, Triple
-from .traversal import Model, PathStatus, _dijkstra, _rebuild, check_endpoints
+from .traversal import Model, PathStatus, _collector_paused, _dijkstra, _rebuild, check_endpoints
 
 CHAIN_NS = "http://example.org/chain/"
 NOISE_NS = "http://example.org/noise/"
@@ -166,7 +171,7 @@ def chain_members(spec: ChainSpec, group: int) -> list[IRI]:
     return [IRI(f"{CHAIN_NS}politician/{group}/{i}") for i in range(1, k + 1)]
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     source: int
     target: int
@@ -177,6 +182,11 @@ class QueryRecord:
     elapsed_ms: float
     path: list[int] | None
     error: str | None = None
+
+
+def _needs_quotes(field: str) -> bool:
+    """Whether ``csv.writer`` quotes ``field``: it holds a comma, a quote or a line break."""
+    return "," in field or '"' in field or "\r" in field or "\n" in field
 
 
 @dataclass
@@ -206,9 +216,12 @@ class BatchReport:
 
         ``dictionary`` (a Dictionary or a Store) renders each distinct issued
         term id once per call, as its stored token; other ids print as numbers.
-        A row whose joined line holds exactly seven commas and no ``"``,
-        ``\\r`` or ``\\n`` needs no quoting and is written as that line; any
-        other row goes through ``csv.writer``.
+        A path that strictly extends the last path rendered is rendered as
+        that path's text, ``/`` and its new ids only; any other path is
+        joined in full. Only the endpoints and the path or error field can
+        hold a ``,``, ``"``, ``\\r`` or ``\\n``. A row whose three such fields
+        hold none of them is joined and written as it is; any other row goes
+        through ``csv.writer``.
         """
 
         @cache
@@ -217,27 +230,46 @@ class BatchReport:
                 return str(term_id)
             return dictionary.token(term_id)
 
+        @cache
+        def endpoint(term_id: int) -> tuple[str, bool]:
+            token = name(term_id)
+            return token, _needs_quotes(token)
+
         writer = csv.writer(out)
         writer.writerow(
             ["source", "target", "model", "status", "distance", "nodes_explored", "elapsed_ms", "path"]
         )
         write, quoted = out.write, writer.writerow
+        # Model.value is a Python-level property: read it per model, not per row.
+        model, model_text = None, ""
+        prev: list[int] = []  # the last path rendered, its text, and whether that needs quotes
+        prev_text, prev_quoted = "", False
         for r in self.records:
-            row = (
-                name(r.source),
-                name(r.target),
-                r.model.value,
-                r.status,
-                "" if r.distance is None else str(r.distance),
-                str(r.nodes_explored),
-                f"{r.elapsed_ms:.3f}",
-                r.error if r.error is not None else "/".join(map(name, r.path)) if r.path else "",
-            )
-            line = ",".join(row)
-            if line.count(",") == 7 and '"' not in line and "\r" not in line and "\n" not in line:
-                write(line + "\r\n")
+            if r.model is not model:
+                model, model_text = r.model, r.model.value
+            if r.error is not None:
+                last, last_quoted = r.error, _needs_quotes(r.error)
+            elif not r.path:
+                last, last_quoted = "", False
             else:
-                quoted(row)
+                path, n = r.path, len(prev)
+                if n and len(path) > n and path[:n] == prev:
+                    tail = "/".join(map(name, path[n:]))
+                    prev_text = f"{prev_text}/{tail}"
+                    prev_quoted = prev_quoted or _needs_quotes(tail)
+                else:
+                    prev_text = "/".join(map(name, path))
+                    prev_quoted = _needs_quotes(prev_text)
+                prev, last, last_quoted = path, prev_text, prev_quoted
+            (source, source_quoted), (target, target_quoted) = endpoint(r.source), endpoint(r.target)
+            distance = "" if r.distance is None else r.distance
+            if last_quoted or source_quoted or target_quoted:
+                quoted((source, target, model_text, r.status, distance, r.nodes_explored, f"{r.elapsed_ms:.3f}", last))
+            else:
+                write(
+                    f"{source},{target},{model_text},{r.status},{distance},"
+                    f"{r.nodes_explored},{r.elapsed_ms:.3f},{last}\r\n"
+                )
         for d, (count, mean_ms) in self.per_distance.items():
             out.write(f"# distance {d}: count={count} mean_ms={mean_ms:.3f}\n")
         out.write(
@@ -247,6 +279,7 @@ class BatchReport:
         )
 
 
+@_collector_paused
 def run_batch(
     store,
     pairs: Iterable[tuple[int, int]],
@@ -264,7 +297,8 @@ def run_batch(
     search, outside that time. Per-query failures (unknown endpoints) land in
     the report as error records instead of aborting the batch. Reach mode
     leaves ``path`` unset. Sources run one after another; ``workers`` is
-    checked and echoed in the report.
+    checked and echoed in the report. The garbage collector is paused for
+    the whole batch, and its state on entry is restored on return.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -274,6 +308,7 @@ def run_batch(
     ldm3n = model is Model.LDM3N
 
     started = time.perf_counter()
+    issued = cache(store.is_issued)  # each target is asked of many sources
     by_source: dict[int, list[int]] = {}
     for source, target in pairs:
         by_source.setdefault(source, []).append(target)
@@ -281,7 +316,7 @@ def run_batch(
     found_ms: dict[int, list[float]] = {}  # distance -> elapsed_ms of each found record
     for source in sorted(by_source):
         targets = sorted(by_source[source])
-        live = [t for t in targets if store.is_issued(t)] if store.is_issued(source) else []
+        live = [t for t in targets if issued(t)] if issued(source) else []
         found, via = _dijkstra(store, source, live, model, max_dist) if live else ({}, {})
         memo = {source: [source]}
         for target in targets:

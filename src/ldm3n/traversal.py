@@ -24,6 +24,7 @@ pairing constraint.
 from __future__ import annotations
 
 import enum
+import functools
 import gc
 import heapq
 import math
@@ -67,6 +68,28 @@ def check_endpoints(store, source: int, target: int) -> None:
         raise UnknownNode(f"target id {target} was never issued")
 
 
+def _collector_paused(fn):
+    """``fn`` with the garbage collector paused for each call.
+
+    A ``finally`` enables the collector again, after ``fn`` has returned or
+    raised, if it was on at the call, so no pass starts while ``fn``'s frame
+    runs. Nested calls leave it paused until the outermost one returns.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def _dijkstra(
     store, source: int, targets: Collection[int], model: Model, max_dist: int | None
 ) -> tuple[dict[int, tuple[int | None, int, float]], dict[int, tuple[int, int, int]]]:
@@ -83,64 +106,58 @@ def _dijkstra(
     search counted. Endpoints must be issued; callers check them.
 
     The garbage collector is paused for the search, so no collection falls
-    inside its times; it is enabled again on return if it was on entry.
+    inside its times.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        pending = set(targets)
-        results: dict[int, tuple[int | None, int, float]] = {}
-        best: dict[int, int] = {source: 0}
-        via: dict[int, tuple[int, int, int]] = {}  # the triple that relaxed each node
-        heap: list[tuple[int, int]] = [(0, source)]
-        explored = 0
-        ldm3n = model is Model.LDM3N
-        push, pop, inf = heapq.heappush, heapq.heappop, math.inf
+    started = time.perf_counter()
+    pending = set(targets)
+    results: dict[int, tuple[int | None, int, float]] = {}
+    best: dict[int, int] = {source: 0}
+    via: dict[int, tuple[int, int, int]] = {}  # the triple that relaxed each node
+    heap: list[tuple[int, int]] = [(0, source)]
+    explored = 0
+    ldm3n = model is Model.LDM3N
+    push, pop, inf = heapq.heappush, heapq.heappop, math.inf
 
-        while heap:
-            dis, curid = pop(heap)
-            if dis > best[curid]:
-                continue  # stale queue entry
-            if max_dist is not None and dis > max_dist:
-                break
-            explored += 1
-            if curid in pending:
-                pending.discard(curid)
-                results[curid] = (dis, explored, time.perf_counter() - started)
-                if not pending:
-                    return results, via
-            if curid & 1:
-                # Literals (odd ids; a popped id is never 0) are sinks, so the
-                # walk stops here. Under --with-derived this is more than a
-                # skipped probe: StoreView.neighbors does return derived triples
-                # with a literal subject, which rdfs:range over a literal-valued
-                # property derives.
-                continue
-            step, far = dis + 1, dis + 2
-            for pred, obj in store.neighbors(curid):
-                triple = (curid, pred, obj)
-                if ldm3n:
-                    if step < best.get(pred, inf):
-                        best[pred] = step
-                        via[pred] = triple
-                        push(heap, (step, pred))
-                    if far < best.get(obj, inf):
-                        best[obj] = far
-                        via[obj] = triple
-                        push(heap, (far, obj))
-                elif step < best.get(obj, inf):
-                    best[obj] = step
+    while heap:
+        dis, curid = pop(heap)
+        if dis > best[curid]:
+            continue  # stale queue entry
+        if max_dist is not None and dis > max_dist:
+            break
+        explored += 1
+        if curid in pending:
+            pending.discard(curid)
+            results[curid] = (dis, explored, time.perf_counter() - started)
+            if not pending:
+                return results, via
+        if curid & 1:
+            # Literals (odd ids; a popped id is never 0) are sinks, so the
+            # walk stops here. Under --with-derived this is more than a
+            # skipped probe: StoreView.neighbors does return derived triples
+            # with a literal subject, which rdfs:range over a literal-valued
+            # property derives.
+            continue
+        step, far = dis + 1, dis + 2
+        for pred, obj in store.neighbors(curid):
+            triple = (curid, pred, obj)
+            if ldm3n:
+                if step < best.get(pred, inf):
+                    best[pred] = step
+                    via[pred] = triple
+                    push(heap, (step, pred))
+                if far < best.get(obj, inf):
+                    best[obj] = far
                     via[obj] = triple
-                    push(heap, (step, obj))
+                    push(heap, (far, obj))
+            elif step < best.get(obj, inf):
+                best[obj] = step
+                via[obj] = triple
+                push(heap, (step, obj))
 
-        elapsed = time.perf_counter() - started
-        for target in pending:
-            results[target] = (None, explored, elapsed)
-        return results, via
-    finally:
-        if enabled:
-            gc.enable()
+    elapsed = time.perf_counter() - started
+    for target in pending:
+        results[target] = (None, explored, elapsed)
+    return results, via
 
 
 def _rebuild(via: dict[int, tuple[int, int, int]], memo: dict[int, list[int]], node: int, ldm3n: bool) -> list[int]:

@@ -187,6 +187,7 @@ def test_usage_error_exits_two(loaded_store, tmp_path, capsys):
         [*bench, "--max-dist", "-1"],
         [*bench, "--workers", "0"],
         [*bench, "--workers", "-3"],
+        ["entail", *store, "--max-derived", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

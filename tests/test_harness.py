@@ -1,5 +1,6 @@
 import csv
 import gc
+import inspect
 import io
 import operator
 import re
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ldm3n import Literal, Model, Triple, dijkstra_ldm3n, dijkstra_nlan, forward_transform, shortest_path
-from ldm3n import traversal
 from ldm3n.errors import Ldm3nError, UnknownNode, UnknownProperty
 from ldm3n.harness import (
     GENERIC_POSITION_PROPERTY,
@@ -155,20 +155,27 @@ def test_batch_reachability_counts_on_chain(make_store):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_no_collection_runs_inside_a_search(make_store, enabled):
-    """With a collection due at every allocation, a batch's collections all
-    fall between its searches, and the batch leaves the collector on or off
-    as it found it."""
+    """With a collection due at every allocation, none starts anywhere in a
+    batch: not in its searches, and not while it groups pairs, rebuilds
+    paths or makes records. The batch leaves the collector on or off as it
+    found it, also when its pairs iterable raises part-way."""
     store = chain_store(make_store, ChainSpec(groups=1, members=12, seed=6))
     (group,) = generate_pairs(store, store.resolve(GENERIC_POSITION_PROPERTY))
-    search = traversal._dijkstra.__code__
+    # The collector is enabled again after this frame returns, so a pass
+    # that starts once the batch is done never has it on the stack.
+    batch = inspect.unwrap(run_batch).__code__
     seen = {"inside": 0, "outside": 0}
 
     def count(phase, info):
         if phase == "start":
             frame = sys._getframe()
-            while frame is not None and frame.f_code is not search:
+            while frame is not None and frame.f_code is not batch:
                 frame = frame.f_back
             seen["outside" if frame is None else "inside"] += 1
+
+    def pairs_then_fail():
+        yield from list(group.pairs)[:40]
+        raise OSError("pairs file went away")
 
     was, threshold = gc.isenabled(), gc.get_threshold()
     (gc.enable if enabled else gc.disable)()
@@ -177,12 +184,15 @@ def test_no_collection_runs_inside_a_search(make_store, enabled):
     try:
         report = run_batch(store, group.pairs, Model.LDM3N, "spath")
         after = gc.isenabled()
+        with pytest.raises(OSError, match="went away"):
+            run_batch(store, pairs_then_fail(), Model.LDM3N, "spath")
+        after_raise = gc.isenabled()
     finally:
         gc.callbacks.remove(count)
         gc.set_threshold(*threshold)
         (gc.enable if was else gc.disable)()
     assert report.reachable_count == 66
-    assert after is enabled
+    assert after is enabled and after_raise is enabled
     assert seen["inside"] == 0
     assert (seen["outside"] > 0) is enabled  # the hook sees the collections there are
 
@@ -328,6 +338,37 @@ def test_report_csv_golden(make_store, mode):
     assert cut_timing(out.getvalue()) == expected.replace("<E:", "<http://example.org/")
 
 
+# a's search tree branches at p, and again at b. In row order only q's path
+# extends the path before it; every other path is joined in full.
+BRANCHING_REPORT = """\
+source,target,model,status,distance,nodes_explored,elapsed_ms,path\r
+<E:a>,<E:b>,ldm3n,found,3,5,-,<E:a>/<E:p>/<E:q>/<E:b>\r
+<E:a>,<E:c>,ldm3n,found,3,6,-,<E:a>/<E:p>/<E:r>/<E:c>\r
+<E:a>,<E:d>,ldm3n,found,5,8,-,<E:a>/<E:p>/<E:q>/<E:b>/<E:s>/<E:d>\r
+<E:a>,<E:p>,ldm3n,found,1,2,-,<E:a>/<E:p>\r
+<E:a>,<E:q>,ldm3n,found,2,3,-,<E:a>/<E:p>/<E:q>\r
+<E:a>,<E:r>,ldm3n,found,2,4,-,<E:a>/<E:p>/<E:r>\r
+<E:a>,<E:s>,ldm3n,found,4,7,-,<E:a>/<E:p>/<E:q>/<E:b>/<E:s>\r
+# distance 1: count=1 mean_ms=-
+# distance 2: count=2 mean_ms=-
+# distance 3: count=2 mean_ms=-
+# distance 4: count=1 mean_ms=-
+# distance 5: count=1 mean_ms=-
+# summary: pairs=7 reachable=7 total_ms=- avg_ms=- workers=1 model=ldm3n mode=spath
+"""
+
+
+def test_report_csv_golden_on_a_branching_tree(make_store):
+    store = make_store([
+        Triple(ex("a"), ex("p"), ex("p")), Triple(ex("p"), ex("q"), ex("b")),
+        Triple(ex("p"), ex("r"), ex("c")), Triple(ex("b"), ex("s"), ex("d")),
+    ])
+    a = store.resolve(ex("a"))
+    out = io.StringIO()
+    run_batch(store, [(a, store.resolve(ex(n))) for n in "srqpdcb"], Model.LDM3N, "spath").write_csv(out, store)
+    assert cut_timing(out.getvalue()) == BRANCHING_REPORT.replace("<E:", "<http://example.org/")
+
+
 class TokenTable:
     """Ids 1..n issued, each rendered as an arbitrary token."""
 
@@ -343,24 +384,63 @@ class TokenTable:
 
 # Text that often holds what CSV must quote, and often does not.
 csv_text = st.text(st.one_of(st.sampled_from(',"\r\n/ '), st.characters()), max_size=8)
+# Tokens that CSV never quotes, and tokens that it always does.
+plain_text = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=8)
+quoted_text = st.tuples(plain_text, st.sampled_from(',"\r\n'), plain_text).map("".join)
 
 
 @st.composite
 def reports(draw):
-    tokens = draw(st.lists(csv_text, min_size=1, max_size=6))
+    """Records whose paths extend, repeat, shorten, diverge from or rejoin the
+    last path drawn, with quoting characters in the shared prefix only, in the
+    tail only, or nowhere, and error and unreachable rows among them."""
+    tokens = draw(st.permutations(
+        draw(st.lists(plain_text, min_size=1, max_size=4)) + draw(st.lists(quoted_text, min_size=1, max_size=3))
+    ))
     ids = st.integers(0, len(tokens) + 1)  # 0 and len + 1 were never issued
-    records = draw(st.lists(st.builds(
-        QueryRecord,
-        source=ids,
-        target=ids,
-        model=st.sampled_from(Model),
-        status=st.sampled_from(["found", "unreachable", "error"]),
-        distance=st.none() | st.integers(0, 10**6),
-        nodes_explored=st.integers(0, 10**6),
-        elapsed_ms=st.floats(0, 1e6),
-        path=st.none() | st.lists(ids, max_size=5),
-        error=st.none() | csv_text,
-    ), max_size=6))
+    quoted = [i for i, t in enumerate(tokens, 1) if re.search('[,"\r\n]', t)]
+    plain = [i for i in range(len(tokens) + 2) if i not in quoted]
+    run = st.sampled_from([plain, quoted, plain + quoted]).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    records: list[QueryRecord] = []
+    last: list[int] = []
+    for _ in range(draw(st.integers(0, 8))):
+        record = draw(st.builds(
+            QueryRecord,
+            source=ids,
+            target=ids,
+            model=st.sampled_from(Model),
+            status=st.sampled_from(["found", "unreachable", "error"]),
+            distance=st.none() | st.integers(0, 10**6),
+            nodes_explored=st.integers(0, 10**6),
+            elapsed_ms=st.floats(0, 1e6),
+            path=st.none(),
+        ))
+        step = draw(st.sampled_from(
+            ["extend", "repeat", "shorten", "diverge", "rejoin", "fresh", "unreachable", "error"]
+        ))
+        if step == "error":
+            record.error = draw(csv_text)
+            record.path = draw(st.none() | st.just(last))  # an error field wins over any path
+        elif step == "repeat" and records:
+            # A duplicate pair: the batch hands out the same list again.
+            record.source, record.target = records[-1].source, records[-1].target
+            record.path = draw(st.sampled_from([last, list(last)]))
+        elif step == "shorten" and len(last) > 1:
+            record.path = last[: draw(st.integers(1, len(last) - 1))]
+        elif step == "extend" and last:
+            record.path = last + draw(run)
+        elif step == "diverge" and last:
+            record.path = last[: draw(st.integers(0, len(last) - 1))] + draw(run)
+        elif step == "rejoin" and len(last) > 1:
+            # Other ids up to the last path's end, then on past it.
+            others = draw(st.lists(ids, min_size=len(last) - 1, max_size=len(last) - 1))
+            record.path = others + last[-1:] + draw(run)
+        elif step != "unreachable":
+            record.path = draw(run)
+        if record.path and record.error is None:
+            last = record.path
+        records.append(record)
     return TokenTable(tokens), BatchReport(Model.LDM3N, "spath", 1, records, 0.0)
 
 
