@@ -9,9 +9,9 @@ an RDFS forward-chaining layer with singleton-property validation, and a
 batch harness for reachability/shortest-path experiments.
 """
 
-from .dictionary import Dictionary, is_literal_id
+from .dictionary import Dictionary
 from .errors import Ldm3nError
-from .graph_model import Ldm3nGraph, backward_transform, forward_transform, graph_size
+from .graph_model import Ldm3nGraph, backward_transform, forward_transform
 from .ntriples import parse_ntriples, serialize_ntriples
 from .storage import Store, StoreConfig, create_store, load_triples, open_store
 from .terms import IRI, BlankNode, Literal, Term, Triple, format_term, parse_term
@@ -48,8 +48,6 @@ __all__ = [
     "dijkstra_nlan",
     "format_term",
     "forward_transform",
-    "graph_size",
-    "is_literal_id",
     "load_triples",
     "open_store",
     "parse_ntriples",

@@ -118,10 +118,11 @@ def _open_view(args):
 def _cmd_load(args) -> int:
     errors: list[MalformedLine] = []
     if args.input == "-":
-        # UTF-8, as a file is read, whatever the locale's encoding.
-        source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        # UTF-8, as a file is read, whatever the locale's encoding; a leading
+        # byte-order mark is dropped.
+        source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
     else:
-        source = open(args.input, "r", encoding="utf-8")
+        source = open(args.input, "r", encoding="utf-8-sig")
     try:
         triples = parse_ntriples(source, strict=not args.lenient, errors=errors)
         config = storage.StoreConfig(args.store)
@@ -213,7 +214,7 @@ def _cmd_bench(args) -> int:
     from . import harness
 
     store, view = _open_view(args)
-    with open(args.pairs, "r", encoding="utf-8") as f:
+    with open(args.pairs, "r", encoding="utf-8-sig") as f:
         pairs = harness.read_pairs_csv(f, store)
     report = harness.run_batch(
         view, pairs, Model(args.model), args.mode, workers=args.workers, max_dist=args.max_dist

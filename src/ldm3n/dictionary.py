@@ -1,8 +1,8 @@
 """Bidirectional term <-> id encoding with parity-typed ids.
 
 Literals get odd ids (1, 3, 5, ...) and every other term gets even ids
-(2, 4, 6, ...), so a single parity check tells traversal whether an id can
-ever have outgoing pairs. Id 0 is reserved as the "no node" sentinel and is
+(2, 4, 6, ...), so the parity check ``id & 1`` tells traversal whether an id
+can ever have outgoing pairs. Id 0 is reserved as the "no node" sentinel and is
 never issued. Blank nodes can be subjects, so they count as non-literals.
 
 Terms are keyed by their N-Triples token. An opened store's terms stay in
@@ -50,13 +50,6 @@ def inflate(data: bytes | memoryview, fail: Callable[[str], StoreCorrupt], most:
     if inflater.unused_data:
         raise fail(f"holds {len(inflater.unused_data)} bytes past the end of its deflate stream")
     return out
-
-
-def is_literal_id(term_id: int) -> bool:
-    """True iff the id encodes a literal (odd parity). Requires id >= 1."""
-    if term_id < 1:
-        raise ValueError(f"id {term_id} was never issued (0 is the sentinel)")
-    return term_id & 1 == 1
 
 
 def id_index(term_id: int) -> int:

@@ -1,11 +1,13 @@
 """Explicit triple-node graph: the formal model behind the engine.
 
-Every term of a triple set maps to exactly one node, and each triple
-(s, p, o) is realized by a *pair* of directed edges: an initial edge
-s -> p and a terminal edge p -> o, bound together by the pairing map
-``tau``. The graph therefore has exactly 2 * |triples| edges, and terms
-reused across roles (a predicate that is also a subject elsewhere) still
-map to a single node, which is what makes cross-triple traversal possible.
+The graph is the paper's (N, epsilon, tau, mu). Every term of a triple set
+maps through ``mu`` to exactly one node of N, and each triple (s, p, o) is
+realized by a *pair* of directed edges: an initial edge s -> p and a
+terminal edge p -> o, bound together by the pairing map ``tau``. The edges
+are the domain of ``epsilon``, an edge is initial exactly when it is in
+``tau``'s domain, so the graph has exactly 2 * |triples| edges. Terms reused
+across roles (a predicate that is also a subject elsewhere) still map to a
+single node, which is what makes cross-triple traversal possible.
 
 This explicit structure exists for model-level reasoning and as the oracle
 counterpart of the index-backed engine; query execution itself walks the
@@ -14,7 +16,6 @@ store's subject rows, where the edge pair of each triple is implicit.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -23,42 +24,32 @@ from .errors import MalformedGraph
 from .terms import Triple
 
 
-class EdgeKind(enum.Enum):
-    INITIAL = "initial"
-    TERMINAL = "terminal"
-
-
-@dataclass(frozen=True, slots=True)
-class EdgeRef:
-    id: int
-    kind: EdgeKind
-
-
 @dataclass
 class Ldm3nGraph:
     """Triple-node graph: nodes, paired edges, and the term<->node bijection.
 
-    ``epsilon`` maps each edge id to its (source node, target node) pair;
-    ``tau`` maps each initial edge id to its terminal partner. Edge ids are
-    assigned 2*i (initial) and 2*i + 1 (terminal) for the i-th distinct
-    input triple, so construction is deterministic.
+    ``epsilon`` maps each edge id to its (source node, target node) pair, so
+    its keys are the edge set; ``tau`` maps each initial edge id to its
+    terminal partner, so its keys are the initial edges and its values the
+    terminal ones. Edge ids are assigned 2*i (initial) and 2*i + 1
+    (terminal) for the i-th distinct input triple, so construction is
+    deterministic.
     """
 
     nodes: set[int] = field(default_factory=set)
-    edges: dict[int, EdgeRef] = field(default_factory=dict)
     epsilon: dict[int, tuple[int, int]] = field(default_factory=dict)
     tau: dict[int, int] = field(default_factory=dict)
     mu: Dictionary = field(default_factory=Dictionary)
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.epsilon)
 
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def edges_between(self, a: int, b: int) -> list[EdgeRef]:
-        """All parallel edges from node a to node b (initial and terminal)."""
-        return [self.edges[e] for e, pair in self.epsilon.items() if pair == (a, b)]
+    def edges_between(self, a: int, b: int) -> list[int]:
+        """The ids of all parallel edges from node a to node b, initial and terminal."""
+        return [e for e, pair in self.epsilon.items() if pair == (a, b)]
 
 
 def forward_transform(triples: Iterable[Triple], dictionary: Dictionary | None = None) -> Ldm3nGraph:
@@ -80,8 +71,6 @@ def forward_transform(triples: Iterable[Triple], dictionary: Dictionary | None =
         seen.add((ns, np_, no))
         g.nodes.update((ns, np_, no))
         e_init, e_term = 2 * i, 2 * i + 1
-        g.edges[e_init] = EdgeRef(e_init, EdgeKind.INITIAL)
-        g.edges[e_term] = EdgeRef(e_term, EdgeKind.TERMINAL)
         g.epsilon[e_init] = (ns, np_)
         g.epsilon[e_term] = (np_, no)
         g.tau[e_init] = e_term
@@ -106,8 +95,3 @@ def backward_transform(g: Ldm3nGraph) -> set[Triple]:
             )
         triples.add(Triple(g.mu.decode(ns), g.mu.decode(np_), g.mu.decode(no)))
     return triples
-
-
-def graph_size(g: Ldm3nGraph) -> int:
-    """Number of edges; always twice the number of represented triples."""
-    return g.edge_count()

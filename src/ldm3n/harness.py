@@ -27,6 +27,9 @@ stays linear in the group size. The garbage collector is paused once for a
 whole batch: its records and paths are long-lived, and a full collection
 would only walk them.
 
+A report holds its batch's model once, and a record per pair holds the
+rest of that pair's row; every row's model column is the report's.
+
 Reports are written one row at a time. A path that extends the one rendered
 before it (the next target along a chain) is rendered from that path's text
 plus its new ids, so each id is looked up once per extension, not once per
@@ -175,7 +178,6 @@ def chain_members(spec: ChainSpec, group: int) -> list[IRI]:
 class QueryRecord:
     source: int
     target: int
-    model: Model
     status: str
     distance: int | None
     nodes_explored: int
@@ -214,14 +216,15 @@ class BatchReport:
     def write_csv(self, out: IO, dictionary=None) -> None:
         """Records as CSV rows, then per-distance and summary trailer lines.
 
-        ``dictionary`` (a Dictionary or a Store) renders each distinct issued
-        term id once per call, as its stored token; other ids print as numbers.
-        A path that strictly extends the last path rendered is rendered as
-        that path's text, ``/`` and its new ids only; any other path is
-        joined in full. Only the endpoints and the path or error field can
-        hold a ``,``, ``"``, ``\\r`` or ``\\n``. A row whose three such fields
-        hold none of them is joined and written as it is; any other row goes
-        through ``csv.writer``.
+        Every row's model column, and the summary's, is ``self.model``'s
+        value, read once per call. ``dictionary`` (a Dictionary or a Store)
+        renders each distinct issued term id once per call, as its stored
+        token; other ids print as numbers. A path that strictly extends the
+        last path rendered is rendered as that path's text, ``/`` and its new
+        ids only; any other path is joined in full. Only the endpoints and
+        the path or error field can hold a ``,``, ``"``, ``\\r`` or ``\\n``.
+        A row whose three such fields hold none of them is joined and written
+        as it is; any other row goes through ``csv.writer``.
         """
 
         @cache
@@ -240,13 +243,10 @@ class BatchReport:
             ["source", "target", "model", "status", "distance", "nodes_explored", "elapsed_ms", "path"]
         )
         write, quoted = out.write, writer.writerow
-        # Model.value is a Python-level property: read it per model, not per row.
-        model, model_text = None, ""
+        model = self.model.value  # a Python-level property: read it once, not per row
         prev: list[int] = []  # the last path rendered, its text, and whether that needs quotes
         prev_text, prev_quoted = "", False
         for r in self.records:
-            if r.model is not model:
-                model, model_text = r.model, r.model.value
             if r.error is not None:
                 last, last_quoted = r.error, _needs_quotes(r.error)
             elif not r.path:
@@ -264,10 +264,10 @@ class BatchReport:
             (source, source_quoted), (target, target_quoted) = endpoint(r.source), endpoint(r.target)
             distance = "" if r.distance is None else r.distance
             if last_quoted or source_quoted or target_quoted:
-                quoted((source, target, model_text, r.status, distance, r.nodes_explored, f"{r.elapsed_ms:.3f}", last))
+                quoted((source, target, model, r.status, distance, r.nodes_explored, f"{r.elapsed_ms:.3f}", last))
             else:
                 write(
-                    f"{source},{target},{model_text},{r.status},{distance},"
+                    f"{source},{target},{model},{r.status},{distance},"
                     f"{r.nodes_explored},{r.elapsed_ms:.3f},{last}\r\n"
                 )
         for d, (count, mean_ms) in self.per_distance.items():
@@ -275,7 +275,7 @@ class BatchReport:
         out.write(
             f"# summary: pairs={self.pair_count} reachable={self.reachable_count}"
             f" total_ms={self.total_elapsed_ms:.3f} avg_ms={self.average_elapsed_ms:.3f}"
-            f" workers={self.workers} model={self.model.value} mode={self.mode}\n"
+            f" workers={self.workers} model={model} mode={self.mode}\n"
         )
 
 
@@ -324,15 +324,15 @@ def run_batch(
                 try:
                     check_endpoints(store, source, target)
                 except UnknownNode as exc:
-                    records.append(QueryRecord(source, target, model, "error", None, 0, 0.0, None, str(exc)))
+                    records.append(QueryRecord(source, target, "error", None, 0, 0.0, None, str(exc)))
                 continue
             distance, explored, elapsed = found[target]
             elapsed_ms = elapsed * 1000.0
             if distance is None:
-                records.append(QueryRecord(source, target, model, "unreachable", None, explored, elapsed_ms, None))
+                records.append(QueryRecord(source, target, "unreachable", None, explored, elapsed_ms, None))
                 continue
             path = _rebuild(via, memo, target, ldm3n) if paths else None
-            records.append(QueryRecord(source, target, model, "found", distance, explored, elapsed_ms, path))
+            records.append(QueryRecord(source, target, "found", distance, explored, elapsed_ms, path))
             found_ms.setdefault(distance, []).append(elapsed_ms)
     total_ms = (time.perf_counter() - started) * 1000.0
 

@@ -206,9 +206,6 @@ class Rule(enum.Enum):
     RANGE = "range"  # typed object for declared ranges
 
 
-ALL_RULES = (Rule.RDFS5, Rule.RDFS7, Rule.RDFS9, Rule.DOMAIN, Rule.RANGE)
-
-
 Buckets = dict[int, set[tuple[int, int]]]  # predicate id -> its (subject, object) pairs
 
 
@@ -266,7 +263,7 @@ class EntailmentResult:
 
 def entail_fixpoint(
     store: Store,
-    rules: Iterable[Rule] = ALL_RULES,
+    rules: Iterable[Rule] = tuple(Rule),
     vocab: Vocabulary | None = None,
     max_derived: int | None = None,
 ) -> EntailmentResult:

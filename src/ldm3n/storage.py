@@ -679,11 +679,7 @@ def _columns(f: _File, names: str, most: int | None = None) -> list[Sequence[int
 
 def open_store(path: Path | str) -> Store:
     """Open an existing store directory; raises StoreCorrupt on any mismatch."""
-    path = Path(path)
-    if not (path / "base").exists() and (path / "meta").exists():
-        # Stores before version 3 kept their load report in ``meta``.
-        _read_file(path / "meta", ())
-    base = _read_file(path / "base", _BASE_SECTIONS)
+    base = _read_file(Path(path) / "base", _BASE_SECTIONS)
     tables = (base.table("even", ordered=True), base.table("odd", ordered=True))
     _check_tables(base, tables)
     dictionary = Dictionary(tables)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Collection
 
 from .errors import UnknownNode, UnknownTriple
-from .graph_model import EdgeKind, Ldm3nGraph
+from .graph_model import Ldm3nGraph
 
 
 class Model(enum.Enum):
@@ -239,20 +239,14 @@ def validate_resource_path(g: Ldm3nGraph, nodes: list[int]) -> bool:
 
     tau_inv = {term: init for init, term in g.tau.items()}
     # prev holds the edges usable for the previous step under some valid
-    # choice of prefix; an initial edge only needs the prefix to exist, a
+    # choice of prefix. An initial edge (one in tau's domain) only needs the
+    # prefix to exist, which every step after a non-empty one has; a
     # terminal edge needs its own paired initial edge chosen right before.
     prev: set[int] = set()
-    for k in range(len(nodes) - 1):
-        current: set[int] = set()
-        for e in g.edges_between(nodes[k], nodes[k + 1]):
-            if e.kind is EdgeKind.INITIAL:
-                if k == 0 or prev:
-                    current.add(e.id)
-            elif k > 0 and tau_inv.get(e.id) in prev:
-                current.add(e.id)
-        if not current:
+    for a, b in zip(nodes, nodes[1:]):
+        prev = {e for e in g.edges_between(a, b) if e in g.tau or tau_inv.get(e) in prev}
+        if not prev:
             return False
-        prev = current
     return True
 
 

@@ -63,6 +63,17 @@ def test_load_from_stdin_reads_utf8_whatever_the_locale(tmp_path):
     assert (tmp_path / "stdin" / "base").read_bytes() == (tmp_path / "file" / "base").read_bytes()
 
 
+def test_load_accepts_a_byte_order_mark(tmp_path, fixture_nt, capsys, monkeypatch):
+    bom = tmp_path / "bom.nt"
+    bom.write_bytes(b"\xef\xbb\xbf" + fixture_nt.read_bytes())
+    assert main(["load", "--store", str(tmp_path / "plain"), "--input", str(fixture_nt)]) == 0
+    assert main(["load", "--store", str(tmp_path / "file"), "--input", str(bom)]) == 0
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bom.read_bytes()), encoding="utf-8"))
+    assert main(["load", "--store", str(tmp_path / "stdin"), "--input", "-"]) == 0
+    digest = lambda name: hashlib.sha256(layout.canonical(tmp_path / name / "base")).hexdigest()
+    assert digest("file") == digest("stdin") == digest("plain")
+
+
 def test_load_lenient_counts_bad_lines(tmp_path, capsys):
     nt = tmp_path / "bad.nt"
     nt.write_text(f"<{EX}a> <{EX}p> <{EX}b> .\njunk line\n", encoding="utf-8")
@@ -188,6 +199,7 @@ def test_usage_error_exits_two(loaded_store, tmp_path, capsys):
         [*bench, "--workers", "0"],
         [*bench, "--workers", "-3"],
         ["entail", *store, "--max-derived", "-1"],
+        ["load", "--store", str(tmp_path / "s"), "--input", str(tmp_path / "missing.nt"), "--index-kind", "hash"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -500,6 +512,21 @@ def test_bench_end_to_end(tmp_path, capsys):
     report = out_file.read_text()
     assert "# summary: pairs=2 reachable=1" in report
     assert ",found,9," in report
+
+
+def test_bench_accepts_a_byte_order_mark(loaded_store, tmp_path, capsys):
+    from test_harness import cut_timing
+
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(f"source_iri,target_iri\n{EX}BillClinton,{EX}GeorgeWBush\n{EX}GeorgeWBush,{EX}BillClinton\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = []
+    for pairs in (plain, bom):
+        argv = ["bench", "--store", str(loaded_store), "--mode", "spath", "--model", "ldm3n", "--pairs", str(pairs)]
+        assert main(argv) == 0
+        reports.append(cut_timing(capsys.readouterr().out))
+    assert reports[1] == reports[0]
+    assert "# summary: pairs=2 reachable=1" in reports[0]
 
 
 def test_bench_unknown_term_exits_one(loaded_store, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from ldm3n import Dictionary, IRI, Literal, BlankNode, format_term, is_literal_id
+from ldm3n import Dictionary, IRI, Literal, BlankNode, format_term
 from ldm3n.dictionary import MAX_ID
 from ldm3n.errors import CapacityExhausted, UnknownId
 
@@ -33,8 +33,6 @@ def test_parity_tracks_kind():
         d.encode(Literal("y", language="en")),
     ]
     assert [i % 2 for i in ids] == [0, 1, 0, 1]
-    assert is_literal_id(1) is True
-    assert is_literal_id(2) is False
 
 
 def test_blank_nodes_are_non_literal_ids():
@@ -65,11 +63,6 @@ def test_decode_unknown_and_sentinel():
         d.decode(0)
     with pytest.raises(UnknownId):
         d.decode(7)
-
-
-def test_is_literal_id_rejects_sentinel():
-    with pytest.raises(ValueError):
-        is_literal_id(0)
 
 
 def test_succession_terms_decode_back_to_ten():

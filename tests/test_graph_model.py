@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from ldm3n import Triple, backward_transform, forward_transform, graph_size
+from ldm3n import Triple, backward_transform, forward_transform
 from ldm3n.errors import MalformedGraph
-from ldm3n.graph_model import EdgeKind
 
 from conftest import ex, succession_triples
 from oracles import random_triples
@@ -14,7 +13,6 @@ def test_succession_graph_has_ten_nodes_twelve_edges():
     g = forward_transform(succession_triples())
     assert g.node_count() == 10
     assert g.edge_count() == 12
-    assert graph_size(g) == 12
 
 
 def test_empty_set_empty_graph():
@@ -33,8 +31,7 @@ def test_single_triple_structure():
     ns, np_ = g.epsilon[e_init]
     np2, no = g.epsilon[e_term]
     assert np_ == np2  # the pair meets at the predicate node
-    assert g.edges[e_init].kind is EdgeKind.INITIAL
-    assert g.edges[e_term].kind is EdgeKind.TERMINAL
+    assert set(g.epsilon) == {e_init, e_term}
 
 
 def test_tau_is_a_bijection_with_disjoint_domain_and_range():
@@ -43,7 +40,7 @@ def test_tau_is_a_bijection_with_disjoint_domain_and_range():
     terminals = set(g.tau.values())
     assert len(terminals) == len(initials)
     assert initials.isdisjoint(terminals)
-    assert initials | terminals == set(g.edges)
+    assert initials | terminals == set(g.epsilon)
 
 
 def test_shared_terms_map_to_single_nodes():
@@ -88,7 +85,7 @@ def test_size_law_with_known_count():
     rng = random.Random(23)
     for n in (1, 7, 40):
         g = forward_transform(random_triples(rng, n))
-        assert graph_size(g) == 2 * n
+        assert g.edge_count() == 2 * n
 
 
 def test_malformed_graph_detected():

@@ -393,7 +393,9 @@ quoted_text = st.tuples(plain_text, st.sampled_from(',"\r\n'), plain_text).map("
 def reports(draw):
     """Records whose paths extend, repeat, shorten, diverge from or rejoin the
     last path drawn, with quoting characters in the shared prefix only, in the
-    tail only, or nowhere, and error and unreachable rows among them."""
+    tail only, or nowhere, and error and unreachable rows among them, under
+    one model drawn for the whole report."""
+    model = draw(st.sampled_from(Model))
     tokens = draw(st.permutations(
         draw(st.lists(plain_text, min_size=1, max_size=4)) + draw(st.lists(quoted_text, min_size=1, max_size=3))
     ))
@@ -409,7 +411,6 @@ def reports(draw):
             QueryRecord,
             source=ids,
             target=ids,
-            model=st.sampled_from(Model),
             status=st.sampled_from(["found", "unreachable", "error"]),
             distance=st.none() | st.integers(0, 10**6),
             nodes_explored=st.integers(0, 10**6),
@@ -441,7 +442,7 @@ def reports(draw):
         if record.path and record.error is None:
             last = record.path
         records.append(record)
-    return TokenTable(tokens), BatchReport(Model.LDM3N, "spath", 1, records, 0.0)
+    return TokenTable(tokens), BatchReport(model, "spath", 1, records, 0.0)
 
 
 @given(reports())
@@ -453,7 +454,7 @@ def test_report_rows_equal_csv_writer_rows(drawn):
     writer = csv.writer(ref)
     writer.writerow(["source", "target", "model", "status", "distance", "nodes_explored", "elapsed_ms", "path"])
     writer.writerows(
-        [name(r.source), name(r.target), r.model.value, r.status, r.distance, r.nodes_explored,
+        [name(r.source), name(r.target), report.model.value, r.status, r.distance, r.nodes_explored,
          f"{r.elapsed_ms:.3f}", r.error if r.error is not None else "/".join(map(name, r.path or []))]
         for r in report.records
     )

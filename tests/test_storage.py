@@ -370,12 +370,15 @@ def test_corrupt_magic_detected(tmp_path, succession_triples):
         open_store(path)
 
 
-def test_missing_file_detected(tmp_path, succession_triples):
+def test_missing_file_detected(tmp_path, succession_triples, capsys):
     path = tmp_path / "missing"
     create_store(StoreConfig(path), succession_triples)
     (path / "base").unlink()
-    with pytest.raises(StoreCorrupt):
+    message = f"{path / 'base'}: missing store file"
+    with pytest.raises(StoreCorrupt, match=re.escape(message)):
         open_store(path)
+    assert main(["stats", "--store", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_crc_mismatch_names_file_offset_and_crcs(tmp_path, succession_triples):
@@ -711,17 +714,6 @@ def test_big_endian_path_round_trips(tmp_path, monkeypatch, succession_triples):
     assert read_delta(swapped) == [(bc, h1, h1)]
     _, body, itemsize = layout.sections(tmp_path / "be" / "base")["o"]
     assert layout.ints(body, itemsize) != list(store.o)  # the columns were swapped on disk
-
-
-def test_version_two_store_is_rejected(tmp_path, capsys):
-    path = tmp_path / "v2"
-    path.mkdir()
-    for name in ("dict_rev", "adj", "meta"):
-        (path / name).write_bytes(struct.pack("<6sHI", b"LDM3N\0", 2, zlib.crc32(b"")))
-    with pytest.raises(StoreCorrupt, match="unsupported format version 2"):
-        open_store(path)
-    assert main(["stats", "--store", str(path)]) == 3
-    assert "unsupported format version 2" in capsys.readouterr().err
 
 
 def assert_refused(path, version: int, capsys) -> None:
