@@ -37,6 +37,16 @@ def _int_from(least: int):
     return parse
 
 
+def _rules(text: str) -> list:
+    """An argparse type: comma-separated rule names, each stripped, as ``semantics.Rule`` values."""
+    from .semantics import Rule
+
+    try:
+        return [Rule(name.strip()) for name in text.split(",") if name.strip()]
+    except ValueError as exc:  # a usage error that names the rule, not "invalid _rules value"
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ldm3n", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -64,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--timing", action="store_true", help="append elapsed_ms (output no longer byte-stable)")
 
     p_entail = sub.add_parser("entail", parents=[store, singleton], help="forward-chain RDFS rules to fixpoint")
-    p_entail.add_argument("--rules", default="rdfs5,rdfs7,rdfs9,domain,range")
+    p_entail.add_argument("--rules", type=_rules, default="rdfs5,rdfs7,rdfs9,domain,range")
     p_entail.add_argument("--strict-singletons", action="store_true")
     p_entail.add_argument("--max-derived", type=_int_from(0), default=None)
     p_entail.add_argument("--materialize", action="store_true", help="persist the delta into the store")
@@ -172,8 +182,7 @@ def _cmd_entail(args) -> int:
     from . import semantics
 
     store = storage.open_store(args.store)
-    rules = [semantics.Rule(name.strip()) for name in args.rules.split(",") if name.strip()]
-    result = semantics.entail_fixpoint(store, rules, _vocab(args), max_derived=args.max_derived)
+    result = semantics.entail_fixpoint(store, args.rules, _vocab(args), max_derived=args.max_derived)
 
     # Re-validate singleton uniqueness against the materialized view; derived
     # triples can turn a clean store into a violating one.
@@ -236,7 +245,7 @@ def _cmd_stats(args) -> int:
     writer.writerow(["triples", triples])
     writer.writerow(["nodes", len(store.dictionary)])
     writer.writerow(["edges", 2 * triples])
-    writer.writerow(["literals", store.dictionary.literal_count()])
+    writer.writerow(["literals", len(store.dictionary.id_ranges()[1])])
     writer.writerow(["singletons", len(singletons)])
     return 0
 

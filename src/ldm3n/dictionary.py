@@ -278,6 +278,3 @@ class Dictionary:
         """Token -> id of the terms issued after the tables; read-only while
         the dictionary is in use."""
         return self._added
-
-    def literal_count(self) -> int:
-        return (self._next_odd - 1) // 2

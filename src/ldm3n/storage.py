@@ -60,20 +60,19 @@ ascend and end below the next block's head, raises StoreCorrupt when it is
 read. So a lookup bisects only heads and a block whose order it has checked.
 ``read_delta`` reads ``delta``, checking its CRCs and integer sections, the
 base CRC it records, the kind of every token and its ids, and only the
-commands that query derived triples call it: a damaged ``delta`` fails
-those alone, and ``save_delta`` replaces it. Its
-tables hold their tokens in id order, as they were minted, and are read
-whole into memory, so their order is not checked. The
-initial/terminal edge pair of each triple is implicit in its row, so the
-same rows serve both traversal models. Loading keeps three id
-columns while the input streams, reissues the ids in token order, counts
-each subject's triples, then packs each triple into one key only as wide as
-the ids need, sorts the keys and drops exact duplicates (set semantics);
-each row is so sorted by (pred, obj), and every downstream answer
-is deterministic. Both files are written to a temporary name, synced to disk
-and then renamed into place, and the directory is synced after each rename
-and unlink; ``base`` is never rewritten. After load the store is read-only
-and safe to share across concurrent query workers.
+commands that query derived triples call it: a damaged ``delta`` fails those
+alone, and ``save_delta`` replaces it. Its tables hold their tokens in id
+order, as they were minted, and are read whole into memory, so their order
+is not checked. The initial/terminal edge pair of each triple is implicit in
+its row, so the same rows serve both traversal models. Loading keeps three
+id columns while the input streams, reissues the ids in token order, then
+packs each triple into one key only as wide as the ids need, sorts the keys,
+drops exact duplicates (set semantics) and counts each subject's triples
+from the distinct keys; each row is so sorted by (pred, obj), and every
+downstream answer is deterministic. Both files are written to a temporary
+name, synced to disk and then renamed into place, and the directory is
+synced after each rename and unlink; ``base`` is never rewritten. After load
+the store is read-only and safe to share across concurrent query workers.
 """
 
 from __future__ import annotations
@@ -242,16 +241,16 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     first appearance, appended to three columns of 4 bytes an id, widened to
     8 if an id reaches 2**32. Once it ends, each parity's tokens are sorted,
     and every id is renumbered to its token's place in that order: the term
-    tables are written in token order, which lookups bisect. ``_sorted_keys`` renumbers the ids as it packs the triples
-    as keys ``s << 2w | p << w | o``, where ``w`` is the bit length of the
-    largest id, so the keys sort as ``(s, p, o)`` does and no second set of
-    columns is made. Row ``i``'s count is tallied from the renumbered subject
-    column, a plain loop that costs a fraction of a bisection per row, less
-    the duplicates the sort drops. What the load holds after its input ends
-    only shrinks: the token lists are sorted in place and the issued ids read
-    in their order before the token dict is freed; the lists are freed as
-    their blocks are made, before any key is; the columns are freed once the
-    keys are sorted; and each section goes straight into an array.
+    tables are written in token order, which lookups bisect. ``_sorted_keys``
+    renumbers the ids as it packs the triples as keys ``s << 2w | p << w | o``,
+    where ``w`` is the bit length of the largest id, so the keys sort as
+    ``(s, p, o)`` does and no second set of columns is made; it drops the
+    duplicates, and row ``i``'s count is tallied from the distinct keys, each
+    stored triple once. What the load holds after its input ends only shrinks:
+    the token lists are sorted in place and the issued ids read in their order
+    before the token dict is freed; the lists are freed as their blocks are
+    made, before any key is; the columns are freed once the keys are sorted;
+    and each section goes straight into an array.
     """
     dictionary = Dictionary()
     ids = dictionary.added_ids()
@@ -291,18 +290,15 @@ def load_triples(config: StoreConfig, triples: Iterable[tuple[str, str, str]]) -
     del issued
     # The token strings are freed before the keys are made.
     tables = [*_term_sections(even), *_term_sections(odd)]
-    renumber = new_id.__getitem__
-    # Each subject's triple count, indexed by its new id: one per triple,
-    # less the duplicates that the sort finds.
-    counts = [0] * evens.stop
-    for subject in map(renumber, columns[0]):
-        counts[subject] += 1
-    keys, dropped = _sorted_keys(columns, width, renumber)
-    del new_id, renumber
-    for key in dropped:
-        counts[key >> 2 * width] -= 1
-    report = LoadReport(len(keys), len(dictionary), len(dropped), dictionary.literal_count())
-    rows = _count_section(counts[2::2])
+    read = len(columns[0])
+    keys = _sorted_keys(columns, width, new_id.__getitem__)
+    del new_id
+    # Row i counts the keys of subject 2 * (i + 1), their top bits.
+    counts = [0] * len(evens)
+    for key in keys:
+        counts[(key >> 2 * width + 1) - 1] += 1
+    report = LoadReport(len(keys), len(evens) + len(odds), read - len(keys), len(odds))
+    rows = _count_section(counts)
     del counts
     mask = (1 << width) - 1
     p = _int_section(map(and_, map(rshift, keys, repeat(width)), repeat(mask)), top)
@@ -337,22 +333,19 @@ def _append_ids(triples: Iterator[tuple[str, str, str]], get: Callable[[str], in
 
 
 def _sorted_keys(columns: tuple[array, array, array], width: int,
-                 renumber: Callable[[int], int]) -> tuple[list[int], list[int]]:
-    """The distinct triples of three id columns, each id renumbered, as keys
-    ``s << 2 * width | p << width | o``, ascending, and the exact duplicates
-    dropped from them; every renumbered id must fit in ``width`` bits.
-    Empties the columns."""
+                 renumber: Callable[[int], int]) -> list[int]:
+    """The distinct triples of three id columns, ids renumbered, as ascending
+    keys ``s << 2 * width | p << width | o``, which ``load_triples`` counts its
+    rows from; every renumbered id must fit in ``width`` bits. Empties the columns."""
     s, p, o = (map(renumber, column) for column in columns)
     keys = sorted(map(or_, map(lshift, s, repeat(2 * width)), map(or_, map(lshift, p, repeat(width)), o)))
     for column in columns:
         del column[:]
     # Sorted, a duplicate is equal to the key after it; a load without
     # duplicates makes no second list.
-    dropped = []
     if countOf(map(eq, keys, islice(keys, 1, None)), True):
-        dropped = list(compress(keys, map(eq, keys, islice(keys, 1, None))))
         keys = list(compress(keys, chain(map(ne, keys, islice(keys, 1, None)), (True,))))
-    return keys, dropped
+    return keys
 
 
 def create_store(config: StoreConfig, triples: Iterable[Triple]) -> Store:

@@ -199,6 +199,8 @@ def test_usage_error_exits_two(loaded_store, tmp_path, capsys):
         [*bench, "--workers", "0"],
         [*bench, "--workers", "-3"],
         ["entail", *store, "--max-derived", "-1"],
+        ["entail", *store, "--rules", "rdfs5, rdfs99"],
+        ["entail", "--store", str(tmp_path / "missing"), "--rules", "rdfs99"],
         ["load", "--store", str(tmp_path / "s"), "--input", str(tmp_path / "missing.nt"), "--index-kind", "hash"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -269,6 +271,51 @@ def test_validate_reports_violations(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert f"<{EX}holdsPos#1>,multiple_use,2" in out
+
+
+RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+
+
+def load_nt(tmp_path, text: str) -> Path:
+    nt = tmp_path / "in.nt"
+    nt.write_text(text, encoding="utf-8")
+    store = tmp_path / "s"
+    assert main(["load", "--store", str(store), "--input", str(nt)]) == 0
+    return store
+
+
+def run_out(argv: list[str], capsys) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_singleton_class_flag_declares_by_type(tmp_path, capsys):
+    # <sp> is declared singleton only by its type, a custom class, and used twice.
+    store = load_nt(tmp_path, f"<{EX}sp> <{RDF}type> <{EX}Single> .\n"
+                              f"<{EX}a> <{EX}sp> <{EX}b> .\n"
+                              f"<{EX}c> <{EX}sp> <{EX}d> .\n")
+    capsys.readouterr()
+    flag = ["--singleton-class", f"{EX}Single"]
+    stats, validate, entail = ([command, "--store", str(store)] for command in ("stats", "validate", "entail"))
+    header = "property,kind,occurrences\r\n"
+    assert "singletons,0" in run_out(stats, capsys)
+    assert "singletons,1" in run_out([*stats, *flag], capsys)
+    assert run_out(validate, capsys) == header
+    assert run_out([*validate, *flag], capsys) == f"{header}<{EX}sp>,multiple_use,2\r\n"
+    assert "singleton_violations=0" in run_out(entail, capsys)
+    assert "singleton_violations=1" in run_out([*entail, *flag], capsys)
+
+
+def test_strict_singletons_flag_reports_an_unused_singleton(tmp_path, capsys):
+    store = load_nt(tmp_path, f"<{EX}sp> <{RDF}type> <{RDF}SingletonProperty> .\n")
+    capsys.readouterr()
+    entail = ["entail", "--store", str(store)]
+    assert "singleton_violations=0" in run_out(entail, capsys)
+    assert "singleton_violations=1" in run_out([*entail, "--strict-singletons"], capsys)
+    validate = ["validate", "--store", str(store)]
+    header = "property,kind,occurrences\r\n"
+    assert run_out(validate, capsys) == header
+    assert run_out([*validate, "--strict-singletons"], capsys) == f"{header}<{EX}sp>,unused,0\r\n"
 
 
 def test_entail_emits_derived_and_summary(tmp_path, capsys):

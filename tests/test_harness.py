@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import inspect
@@ -10,7 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from ldm3n import Literal, Model, Triple, dijkstra_ldm3n, dijkstra_nlan, forward_transform, shortest_path
+from ldm3n import Literal, Model, Triple, dijkstra_ldm3n, dijkstra_nlan, forward_transform, shortest_path, traversal
 from ldm3n.errors import Ldm3nError, UnknownNode, UnknownProperty
 from ldm3n.harness import (
     GENERIC_POSITION_PROPERTY,
@@ -153,48 +154,68 @@ def test_batch_reachability_counts_on_chain(make_store):
     assert nlan_report.reachable_count == 0
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_no_collection_runs_inside_a_search(make_store, enabled):
-    """With a collection due at every allocation, none starts anywhere in a
-    batch: not in its searches, and not while it groups pairs, rebuilds
-    paths or makes records. The batch leaves the collector on or off as it
-    found it, also when its pairs iterable raises part-way."""
-    store = chain_store(make_store, ChainSpec(groups=1, members=12, seed=6))
-    (group,) = generate_pairs(store, store.resolve(GENERIC_POSITION_PROPERTY))
-    # The collector is enabled again after this frame returns, so a pass
-    # that starts once the batch is done never has it on the stack.
-    batch = inspect.unwrap(run_batch).__code__
+@contextlib.contextmanager
+def collections_due(code, enabled: bool):
+    """A collection due at every allocation, with the collector on or off:
+    yields the count of passes that start with ``code`` on the stack
+    ("inside") and without it ("outside"). Restores the collector after."""
     seen = {"inside": 0, "outside": 0}
 
     def count(phase, info):
         if phase == "start":
             frame = sys._getframe()
-            while frame is not None and frame.f_code is not batch:
+            while frame is not None and frame.f_code is not code:
                 frame = frame.f_back
             seen["outside" if frame is None else "inside"] += 1
-
-    def pairs_then_fail():
-        yield from list(group.pairs)[:40]
-        raise OSError("pairs file went away")
 
     was, threshold = gc.isenabled(), gc.get_threshold()
     (gc.enable if enabled else gc.disable)()
     gc.set_threshold(1)
     gc.callbacks.append(count)
     try:
+        yield seen
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_no_collection_runs_inside_a_search(make_store, enabled):
+    """With a collection due at every allocation, none starts anywhere in a
+    batch: not in its searches, and not while it groups pairs, rebuilds
+    paths or makes records; nor in the search of a lone ``shortest_path``.
+    Each call leaves the collector on or off as it found it, a batch also
+    when its pairs iterable raises part-way."""
+    store = chain_store(make_store, ChainSpec(groups=1, members=12, seed=6))
+    (group,) = generate_pairs(store, store.resolve(GENERIC_POSITION_PROPERTY))
+
+    def pairs_then_fail():
+        yield from list(group.pairs)[:40]
+        raise OSError("pairs file went away")
+
+    # The collector is enabled again after the frame of the code looked for
+    # returns, so a pass that starts once that call is done never has it on
+    # the stack.
+    with collections_due(inspect.unwrap(run_batch).__code__, enabled) as seen:
         report = run_batch(store, group.pairs, Model.LDM3N, "spath")
         after = gc.isenabled()
         with pytest.raises(OSError, match="went away"):
             run_batch(store, pairs_then_fail(), Model.LDM3N, "spath")
         after_raise = gc.isenabled()
-    finally:
-        gc.callbacks.remove(count)
-        gc.set_threshold(*threshold)
-        (gc.enable if was else gc.disable)()
     assert report.reachable_count == 66
     assert after is enabled and after_raise is enabled
     assert seen["inside"] == 0
     assert (seen["outside"] > 0) is enabled  # the hook sees the collections there are
+
+    with collections_due(inspect.unwrap(traversal._dijkstra).__code__, enabled) as seen:
+        found = []
+        for source, target in group.pairs:
+            found.append(shortest_path(store, source, target, Model.LDM3N).found)
+            assert gc.isenabled() is enabled
+    assert found.count(True) == 66
+    assert seen["inside"] == 0
+    assert (seen["outside"] > 0) is enabled
 
 
 def test_worker_count_invariance(make_store):
